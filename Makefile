@@ -31,11 +31,9 @@ perf:
 	$(PY) benchmarks/bench_fig7_webserver.py --openloop --json /tmp/fig7_openloop.json
 	$(PY) scripts/check_fig7_openloop.py /tmp/fig7_openloop.json
 
-# The campaign-throughput trajectory in one command: fresh -> two-tier
-# pooled -> prefix super-traces -> tail replay (the four sweeps of
-# bench_campaign_throughput.py, outcome-identity asserted), gated
-# against the committed baseline including the replayed-unit coverage
-# floor.
+# Campaign throughput in one command: fresh-build vs pooled (the two
+# sweeps of bench_campaign_throughput.py, outcome-identity asserted),
+# gated against the committed baseline's pooled/fresh ratio floor.
 throughput:
 	$(PY) benchmarks/bench_campaign_throughput.py --json /tmp/campaign_throughput.json
 	$(PY) scripts/check_campaign_baseline.py /tmp/campaign_throughput.json

@@ -3,16 +3,11 @@
 
 Two measurements:
 
-* **campaign runs/sec** — the lock-service smoke campaign executed four
-  times through the real per-run driver (``_drive_run``): with
-  ``REPRO_SYSTEM_POOL=0`` (the old build-a-system-per-run behaviour),
-  pooled with the super-trace engine disabled (``REPRO_SUPER_TRACE=0``,
-  the two-tier engine), pooled with prefix super-traces on but the
-  divergence-tail cache off (``REPRO_TAIL_REPLAY=0``), and the full
-  tier-3 engine with tail replay (``REPRO_TAIL_REPLAY=1``), which also
-  reports the replayed-unit coverage the tail cache reaches.  Outcomes
-  are asserted identical across all four sweeps — the speedups are only
-  meaningful if the faster paths are bit-exact.
+* **campaign runs/sec** — the lock-service smoke campaign executed
+  twice through the real per-run driver (``_drive_run``): with
+  ``REPRO_SYSTEM_POOL=0`` (the old build-a-system-per-run behaviour)
+  and pooled.  Outcomes are asserted identical across both sweeps — the
+  speedup is only meaningful if the pooled path is bit-exact.
 * **micro-reboot restore cost** — wall time of one ``MemoryImage``
   restore when a run dirtied a handful of pages (the SWIFI steady state)
   versus every page (the worst case, equivalent to the old whole-image
@@ -35,82 +30,43 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.composite.memory import PAGE_WORDS, MemoryImage  # noqa: E402
-from repro.swifi.campaign import (  # noqa: E402
-    COVERAGE_KEYS, CampaignRunner, _drive_run, collect_coverage,
-    coverage_ratio,
-)
+from repro.swifi.campaign import CampaignRunner, _drive_run  # noqa: E402
 from repro.system import GLOBAL_POOL  # noqa: E402
 
 BASE = 0x0100_0000
 
 
-def _timed_sweep(spec, seeds, coverage=None) -> tuple:
-    """Execute every seed serially in-process; returns (elapsed, outcomes).
-
-    ``coverage`` (a dict of supertrace counters) is folded per run when
-    given — the collection itself is inside the timed region, exactly as
-    the campaign runner pays it.
-    """
+def _timed_sweep(spec, seeds) -> tuple:
+    """Execute every seed serially in-process; returns (elapsed, outcomes)."""
     start = time.perf_counter()
-    outcomes = []
-    for seed in seeds:
-        outcome, system, __, __, __ = _drive_run(spec, seed)
-        outcomes.append(outcome.value)
-        if coverage is not None:
-            collect_coverage(system.kernel, coverage)
+    outcomes = [_drive_run(spec, seed)[0].value for seed in seeds]
     return time.perf_counter() - start, outcomes
 
 
-#: (label, REPRO_SYSTEM_POOL, REPRO_SUPER_TRACE, REPRO_TAIL_REPLAY) per sweep.
-SWEEPS = (
-    ("fresh", "0", "0", "0"),
-    ("two_tier", "1", "0", "0"),
-    ("pooled", "1", "1", "0"),
-    ("tail", "1", "1", "1"),
-)
-
-_SWEEP_GATES = ("REPRO_SYSTEM_POOL", "REPRO_SUPER_TRACE", "REPRO_TAIL_REPLAY")
+#: (label, REPRO_SYSTEM_POOL) per sweep.
+SWEEPS = (("fresh", "0"), ("pooled", "1"))
 
 
 def measure_campaign(n_faults: int, repeat: int = 3) -> dict:
-    """Runs/sec of the smoke campaign: fresh vs pooled vs super-traced
-    vs tail-replayed."""
-    from repro.swifi.campaign import _campaign_recording
-
+    """Runs/sec of the smoke campaign: fresh-build vs pooled."""
     runner = CampaignRunner("lock", n_faults=n_faults, seed=1)
     spec = runner.spec()
     seeds = runner.run_seeds()
-    saved = {key: os.environ.get(key) for key in _SWEEP_GATES}
+    saved = os.environ.get("REPRO_SYSTEM_POOL")
     try:
         results = {}
-        coverage = None
-        for label, pool_gate, st_gate, tail_gate in SWEEPS:
+        for label, pool_gate in SWEEPS:
             os.environ["REPRO_SYSTEM_POOL"] = pool_gate
-            os.environ["REPRO_SUPER_TRACE"] = st_gate
-            os.environ["REPRO_TAIL_REPLAY"] = tail_gate
             if pool_gate == "1":
-                # Boot + seal (and, with super-traces on, record the
-                # clean invocation sequence) outside the timed region,
-                # as the campaign worker initializer does.
+                # Boot + seal outside the timed region, as the campaign
+                # worker initializer does.
                 GLOBAL_POOL.acquire(
                     ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode
                 )
-                if st_gate == "1":
-                    _campaign_recording(spec)
             best, outcomes = float("inf"), None
             for __ in range(repeat):
-                sweep_coverage = (
-                    dict.fromkeys(COVERAGE_KEYS, 0)
-                    if tail_gate == "1" else None
-                )
-                elapsed, sweep = _timed_sweep(spec, seeds, sweep_coverage)
+                elapsed, sweep = _timed_sweep(spec, seeds)
                 best = min(best, elapsed)
-                if tail_gate == "1":
-                    # Keep the first repeat's coverage: the tail cache
-                    # warms across repeats (later repeats replay tails
-                    # the first one recorded), and the cold pass is the
-                    # honest campaign-shaped number.
-                    coverage = coverage or sweep_coverage
                 if outcomes is None:
                     outcomes = sweep
                 elif sweep != outcomes:
@@ -119,31 +75,22 @@ def measure_campaign(n_faults: int, repeat: int = 3) -> dict:
                     )
             results[label] = (best, outcomes)
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_SYSTEM_POOL", None)
+        else:
+            os.environ["REPRO_SYSTEM_POOL"] = saved
     fresh_time, fresh_outcomes = results["fresh"]
-    for label in ("two_tier", "pooled", "tail"):
-        if results[label][1] != fresh_outcomes:
-            raise AssertionError(
-                f"{label} sweep outcomes diverge from fresh-build "
-                f"outcomes; the fast path is not bit-exact — do not "
-                f"trust the speedup"
-            )
-    two_tier_time = results["two_tier"][0]
-    pooled_time = results["pooled"][0]
-    tail_time = results["tail"][0]
+    pooled_time, pooled_outcomes = results["pooled"]
+    if pooled_outcomes != fresh_outcomes:
+        raise AssertionError(
+            "pooled sweep outcomes diverge from fresh-build outcomes; "
+            "the pooled path is not bit-exact — do not trust the speedup"
+        )
     return {
         "campaign_runs": len(seeds),
         "fresh_runs_per_sec": len(seeds) / fresh_time,
-        "two_tier_runs_per_sec": len(seeds) / two_tier_time,
         "pooled_runs_per_sec": len(seeds) / pooled_time,
-        "tail_runs_per_sec": len(seeds) / tail_time,
         "pooled_over_fresh": fresh_time / pooled_time,
-        "super_trace_over_two_tier": two_tier_time / pooled_time,
-        "replayed_unit_coverage": coverage_ratio(coverage),
     }
 
 
@@ -200,14 +147,8 @@ def main(argv=None) -> int:
     results = run_benchmark(args.faults, args.repeat)
     print(f"campaign runs/sweep    : {results['campaign_runs']}")
     print(f"fresh-build runs/sec   : {results['fresh_runs_per_sec']:,.0f}")
-    print(f"two-tier pooled r/s    : {results['two_tier_runs_per_sec']:,.0f}")
-    print(f"super-traced runs/sec  : {results['pooled_runs_per_sec']:,.0f}")
-    print(f"tail-replay runs/sec   : {results['tail_runs_per_sec']:,.0f}")
+    print(f"pooled runs/sec        : {results['pooled_runs_per_sec']:,.0f}")
     print(f"pooled/fresh speedup   : {results['pooled_over_fresh']:.2f}x")
-    print(f"super-trace/two-tier   : "
-          f"{results['super_trace_over_two_tier']:.2f}x")
-    print(f"replayed-unit coverage : "
-          f"{results['replayed_unit_coverage']:.1%}")
     print(f"restore, sparse dirty  : {results['restore_sparse_us']:,.1f} us")
     print(f"restore, all pages     : {results['restore_full_us']:,.1f} us")
     if args.json:

@@ -15,14 +15,10 @@ Two kinds of gate:
   (default from the baseline file) because absolute throughput varies
   across machines and CI runners; the gate catches order-of-magnitude
   regressions, not noise.
-* **ratio floors** (``min_pooled_over_fresh``,
-  ``min_super_trace_over_two_tier``, ``min_replayed_unit_coverage``)
-  are machine-independent: the sweeps execute the same runs on the
-  same host, so a collapsing pooled/fresh ratio always means system
-  pooling broke or stopped being used, a collapsing super-trace/
-  two-tier ratio means the tier-3 replay engine stopped engaging, and
-  a collapsing replayed-unit coverage means the divergence-tail cache
-  stopped recording or sharing tails.
+* **ratio floor** (``min_pooled_over_fresh``) is machine-independent:
+  the sweeps execute the same runs on the same host, so a collapsing
+  pooled/fresh ratio always means system pooling broke or stopped
+  being used.
 
 Exits non-zero on any violation.
 """
@@ -67,21 +63,16 @@ def check(artifact_path: str, baseline_path: str,
                 f"(recorded {recorded:,.0f}, tolerance {tolerance:.0%})"
             )
 
-    for baseline_key, metric in (
-        ("min_pooled_over_fresh", "pooled_over_fresh"),
-        ("min_super_trace_over_two_tier", "super_trace_over_two_tier"),
-        ("min_replayed_unit_coverage", "replayed_unit_coverage"),
-    ):
-        ratio_floor = baseline.get(baseline_key)
-        if ratio_floor is None:
-            continue
-        ratio = results.get(metric, 0.0)
+    ratio_floor = baseline.get("min_pooled_over_fresh")
+    if ratio_floor is not None:
+        ratio = results.get("pooled_over_fresh", 0.0)
         status = "ok" if ratio >= ratio_floor else "FAIL"
-        print(f"{metric:22s} {ratio:14.2f}  "
+        print(f"{'pooled_over_fresh':22s} {ratio:14.2f}  "
               f"(floor {ratio_floor:14.2f})  {status}")
         if ratio < ratio_floor:
             failures.append(
-                f"{metric}: {ratio:.2f} below floor {ratio_floor:.2f}"
+                f"pooled_over_fresh: {ratio:.2f} below floor "
+                f"{ratio_floor:.2f}"
             )
 
     if failures:

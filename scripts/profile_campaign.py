@@ -8,10 +8,9 @@ Two views of the same campaign, both single-process (workers=1, so the
 numbers cover the actual work instead of pool plumbing):
 
 * a **per-phase wall breakdown** — one-time setup costs (IDL compile,
-  pooled boot + seal, super-trace recording) and the per-run split
-  across pool restore, SWIFI setup, workload install, arming, and the
-  run itself — the view that sized the system pool and the tier-3
-  super-trace engine;
+  pooled boot + seal) and the per-run split across pool restore, SWIFI
+  setup, workload install, arming, and the run itself — the view that
+  sized the system pool;
 * the classic **cProfile table** of hot call sites — the tool that
   motivated the two-tier execution engine: before it, ``execute_trace``
   dominated every profile; after, the interpreter drops below the
@@ -41,18 +40,14 @@ def phase_breakdown(service: str, n_faults: int, seed: int) -> None:
     duplicated here (not instrumented in the hot path) so the campaign
     itself pays zero overhead for the existence of this tool.
     """
-    from repro.composite.supertrace import ReplaySession, tail_replay_enabled
     from repro.errors import (
         BlockThread, ReproError, SimulatedFault, SystemHang,
     )
     from repro.swifi.campaign import (
         MAX_STEPS,
         _arm_for_class,
-        _campaign_recording,
         _campaign_system,
         classify_run,
-        collect_coverage,
-        coverage_ratio,
         injection_point,
     )
     from repro.swifi.injector import SwifiController
@@ -76,13 +71,10 @@ def phase_breakdown(service: str, n_faults: int, seed: int) -> None:
             ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode
         )
     setup["pool boot + seal"] = time.perf_counter() - start
-    start = time.perf_counter()
-    _campaign_recording(spec)
-    setup["super-trace record"] = time.perf_counter() - start
 
     order = (
-        "pool restore", "swifi setup", "workload install", "arm",
-        "recording attach", "run", "classify",
+        "pool restore", "swifi setup", "workload install", "arm", "run",
+        "classify",
     )
     phases = dict.fromkeys(order, 0.0)
 
@@ -91,11 +83,8 @@ def phase_breakdown(service: str, n_faults: int, seed: int) -> None:
         phases[phase] += now - since
         return now
 
-    coverage = None
     for run_seed in seeds:
         t = time.perf_counter()
-        recording = _campaign_recording(spec)
-        t = tick("recording attach", t)
         system = _campaign_system(spec.ft_mode, spec.recovery_mode)
         t = tick("pool restore", t)
         kernel = system.kernel
@@ -106,22 +95,12 @@ def phase_breakdown(service: str, n_faults: int, seed: int) -> None:
         t = tick("workload install", t)
         _arm_for_class(swifi, spec, injection_point(run_seed, spec.horizon))
         t = tick("arm", t)
-        session = None
-        if recording is not None and recording.kernel is kernel:
-            session = ReplaySession(recording, tails=tail_replay_enabled())
-            kernel._supertrace = session
-        t = tick("recording attach", t)
         crash, steps = None, 0
         try:
             steps = system.run(max_steps=MAX_STEPS)
         except (SystemHang, SimulatedFault, ReproError, BlockThread) as exc:
             crash = exc
-        finally:
-            kernel._supertrace = None
-            if session is not None:
-                session.finalize(kernel)
         t = tick("run", t)
-        coverage = collect_coverage(kernel, coverage)
         if kernel.crashed is not None and crash is None:
             crash = kernel.crashed
         classify_run(spec.ft_mode, system, swifi, handle, crash, steps)
@@ -140,12 +119,6 @@ def phase_breakdown(service: str, n_faults: int, seed: int) -> None:
     rate = len(seeds) / total if total else 0.0
     print(f"    {'total':22s} {total / len(seeds) * 1e6:10.1f} us  "
           f"({rate:,.0f} runs/s)")
-    if coverage is not None:
-        print("  supertrace coverage:")
-        for key, value in coverage.items():
-            print(f"    {key:28s} {value:10d}")
-        print(f"    {'replayed_unit_coverage':28s} "
-              f"{coverage_ratio(coverage):10.1%}")
     print()
 
 

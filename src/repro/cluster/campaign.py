@@ -30,16 +30,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cell import Cell
-from repro.cluster.node import node_pool_instance
 from repro.observe import export as trace_export
 from repro.observe.metrics import canonical_metrics, merge_metrics
-from repro.swifi.campaign import (
-    COVERAGE_KEYS,
-    CampaignRunner,
-    RunSpec,
-    _campaign_recording,
-    coverage_ratio,
-)
+from repro.swifi.campaign import CampaignRunner, RunSpec
 from repro.swifi.injector import FAULT_CLASSES
 from repro.swifi.parallel import default_workers, fan_out_chunks
 from repro.system import GLOBAL_POOL, compile_all_interfaces, pooling_enabled
@@ -218,38 +211,21 @@ def _init_cluster_worker(spec: ClusterSpec, trace: bool = False) -> None:
         compile_all_interfaces()
     _CLUSTER_CELL = Cell(spec, trace=trace)
     if pooling_enabled():
-        run_spec = spec.run_spec()
         for node in _CLUSTER_CELL.nodes:
             node.acquire_system()
-            # Pre-build this node's instance-keyed super-trace recording
-            # (a no-op when the engine is off), so forked workers
-            # inherit every node's recording copy-on-write and the
-            # first scenario doesn't pay the warm-up passes.
-            _campaign_recording(
-                run_spec, instance=node_pool_instance(node.node_id)
-            )
 
 
 def _execute_cluster_chunk(seeds: List[int]):
-    """Worker entry point: one chunk of scenarios.
-
-    Returns ``(triples, coverage)``: ``(seed, row, record_or_None)``
-    per scenario, plus the chunk's summed per-node supertrace coverage
-    (sidecar-only — rows stay engine-invariant).
-    """
+    """Worker entry point: one chunk of scenarios -> (seed, row, record|None)."""
     spec, trace, cell = _CLUSTER_SPEC, _CLUSTER_TRACE, _CLUSTER_CELL
     results: List[Tuple[int, Dict[str, object], Optional[dict]]] = []
-    coverage = dict.fromkeys(COVERAGE_KEYS, 0)
     for seed in seeds:
         if trace:
             row, record = execute_scenario_traced(spec, seed, cell=cell)
         else:
             row, record = execute_scenario(spec, seed, cell=cell), None
-        if cell is not None:
-            for key, value in cell.coverage().items():
-                coverage[key] += value
         results.append((seed, row, record))
-    return results, coverage
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +243,6 @@ class ClusterCampaignResult:
     #: Wall-clock split (sidecar-only: the artifact stays deterministic).
     setup_wall: float = 0.0
     exec_wall: float = 0.0
-    #: Summed per-node supertrace coverage (also sidecar-only: engine
-    #: counters depend on the pooling/supertrace/tail knobs).
-    coverage: Optional[Dict[str, int]] = None
 
     def to_json_dict(self) -> Dict[str, object]:
         """The deterministic campaign artifact (no wall-clock anywhere)."""
@@ -303,11 +276,6 @@ class ClusterCampaignResult:
             "setup_wall": self.setup_wall,
             "exec_wall": self.exec_wall,
         }
-        if self.coverage is not None:
-            timing["coverage"] = dict(self.coverage)
-            timing["replayed_unit_coverage"] = round(
-                coverage_ratio(self.coverage), 6
-            )
         with open(path + ".timing.json", "w", encoding="utf-8") as handle:
             json.dump(timing, handle, indent=2)
             handle.write("\n")
@@ -366,13 +334,9 @@ def run_cluster_campaign(
     setup_start = time.perf_counter()
     rows_by_seed: Dict[int, Dict[str, object]] = {}
     records: Dict[int, dict] = {}
-    coverage = dict.fromkeys(COVERAGE_KEYS, 0)
 
     def note(batch) -> None:
-        triples, chunk_coverage = batch
-        for key, value in chunk_coverage.items():
-            coverage[key] += value
-        for scenario_seed, row, record in triples:
+        for scenario_seed, row, record in batch:
             rows_by_seed[scenario_seed] = row
             if record is not None:
                 records[scenario_seed] = record
@@ -380,7 +344,7 @@ def run_cluster_campaign(
                 progress(len(rows_by_seed), len(seeds), row)
 
     exec_start = time.perf_counter()
-    fan_out_chunks(
+    init_wall = fan_out_chunks(
         _execute_cluster_chunk,
         seeds,
         workers,
@@ -397,9 +361,8 @@ def run_cluster_campaign(
         seeds=seeds,
         rows=rows,
         aggregate=aggregate_cluster_rows(rows),
-        setup_wall=exec_start - setup_start,
-        exec_wall=exec_end - exec_start,
-        coverage=coverage,
+        setup_wall=exec_start - setup_start + init_wall,
+        exec_wall=exec_end - exec_start - init_wall,
     )
 
 

@@ -24,12 +24,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.observe.metrics import MetricsRegistry
-from repro.swifi.campaign import (
-    COVERAGE_KEYS,
-    RunSpec,
-    _drive_run,
-    collect_coverage,
-)
+from repro.swifi.campaign import RunSpec, _drive_run
 from repro.swifi.classify import Outcome
 from repro.system import GLOBAL_POOL, System, build_system, pooling_enabled
 
@@ -59,10 +54,6 @@ class Node:
         self.reboots = 0
         self.units_run = 0
         self.metrics = MetricsRegistry()
-        #: Supertrace coverage summed over this node's units.  Kept
-        #: *outside* the health metrics: engine counters depend on the
-        #: pooling/supertrace knobs, and supervisor decisions must not.
-        self.coverage = dict.fromkeys(COVERAGE_KEYS, 0)
 
     # ------------------------------------------------------------------
     def acquire_system(self) -> System:
@@ -95,12 +86,10 @@ class Node:
         the end of the run) — the cell clock advances by it, keeping
         cluster timelines wall-clock-free and therefore deterministic.
 
-        Pooled units go through ``_drive_run``'s ``instance`` path: the
-        run acquires this node's private snapshot *and* the super-trace
-        recording keyed to it, so node units replay (prefix + tails)
-        exactly like flat campaign runs.  With pooling off each unit
-        builds fresh and executes on the authoritative engine — same
-        outcomes, by the supertrace correctness contract.
+        Pooled units go through ``_drive_run``'s ``instance`` path, so
+        each run acquires this node's private snapshot.  With pooling
+        off each unit builds fresh — same outcomes, since a restored
+        system is indistinguishable from a fresh build.
         """
         if pooling_enabled():
             outcome, system, __, steps, __ = _drive_run(
@@ -112,7 +101,6 @@ class Node:
             )
         self.units_run += 1
         self._fold_health(system, outcome)
-        collect_coverage(system.kernel, self.coverage)
         return outcome, steps, system.kernel.clock.now
 
     def _fold_health(self, system: System, outcome: Outcome) -> None:
@@ -169,7 +157,6 @@ class Node:
         self.reboots = 0
         self.units_run = 0
         self.metrics = MetricsRegistry()
-        self.coverage = dict.fromkeys(COVERAGE_KEYS, 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -178,6 +165,6 @@ class Node:
         )
 
 
-#: Snapshot identity helper used by tests and the campaign initializer.
+#: The pool ``instance`` key of a node's private snapshot.
 def node_pool_instance(node_id: int) -> Optional[tuple]:
     return ("cluster", node_id)

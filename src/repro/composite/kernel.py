@@ -89,14 +89,9 @@ class Kernel:
             "interp_slow_runs": 0,
             "trace_cache_hits": 0,
             "trace_cache_misses": 0,
-            # Tier-3 super-trace accounting (see composite.supertrace):
-            # invocation units replayed vs routed to the authoritative
-            # dispatch path while a replay session was attached.
+            # Always zero: see repro.swifi.campaign.COVERAGE_KEYS.
             "super_trace_runs": 0,
             "super_trace_bypasses": 0,
-            # Divergence-tail accounting: prefix divergence events, units
-            # run plain-authoritative after divergence, tail units
-            # replayed from the tail cache, and tails sealed this run.
             "super_trace_divergences": 0,
             "super_trace_divergent_units": 0,
             "super_trace_tail_runs": 0,
@@ -107,9 +102,6 @@ class Kernel:
         }
         #: Whether the most recent run() ended on an exhausted budget.
         self.last_run_exhausted = False
-        #: Attached tier-3 session (RecordingSession / ReplaySession),
-        #: or None for plain two-tier execution.
-        self._supertrace = None
         #: Hooks observing every fault vectoring: f(component, fault).
         self.fault_observers: List[Callable] = []
         self._sealed_fault_observers: Optional[List[Callable]] = None
@@ -138,11 +130,9 @@ class Kernel:
         self.current = None
         self.swifi = None
         self.last_run_exhausted = False
-        self._supertrace = None
         zero = getattr(self, "_sealed_zero_stats", None)
         if zero is not None:
-            # In-place zeroing that keeps the dict's identity (compiled
-            # super-trace units bind it) — update() beats a Python loop.
+            # In-place zeroing: update() beats a Python loop.
             self.stats.update(zero)
         else:
             for key in self.stats:
@@ -219,22 +209,7 @@ class Kernel:
     # Invocation path
     # ------------------------------------------------------------------
     def invoke(self, thread: SimThread, action: Invoke):
-        """Top-level component invocation, interposed by a client stub.
-
-        With a tier-3 session attached (``composite.supertrace``), the
-        session interposes here: a ReplaySession applies the recorded
-        unit when its guard proves equivalence, and a RecordingSession
-        diffs the authoritative execution into a new unit.  Nested
-        invocations made *inside* a unit (``Component.call``) re-enter
-        with ``busy`` set and run authoritatively.
-        """
-        st = self._supertrace
-        if st is not None and not st.busy:
-            return st.on_invoke(self, thread, action)
-        return self._invoke_impl(thread, action)
-
-    def _invoke_impl(self, thread: SimThread, action: Invoke):
-        """The authoritative invocation path (two-tier engine)."""
+        """Top-level component invocation, interposed by a client stub."""
         client = thread.executing_in or thread.home
         if not self._caps.get((client, action.server)):
             raise CapabilityError(
@@ -589,13 +564,9 @@ class Kernel:
         if pending is not None and pending[0] == "unblock":
             # Run the stub's post-wakeup tracking on the woken thread.
             __, stub, action, value = pending
-            st = self._supertrace
-            if st is not None and not st.busy:
-                value = st.on_unblock(self, thread, stub, action, value)
-            else:
-                value = stub.post_unblock(
-                    self, thread, action.fn, action.args, value
-                )
+            value = stub.post_unblock(
+                self, thread, action.fn, action.args, value
+            )
             pending = ("value", value)
 
         try:

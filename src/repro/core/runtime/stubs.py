@@ -108,11 +108,9 @@ class ClientStubRuntime:
         """Is every piece of per-run state still at its sealed value?
 
         The predicate behind :meth:`pool_restore`'s skip — a stub the
-        run never drove needs no reset.  The tail cache's state probe
-        reuses it to encode untouched stubs as a constant marker
-        instead of deep-freezing them; both uses lean on the same
-        invariant (pristine implies sealed state), which the
-        ``REPRO_POOL_DEBUG`` restored==fresh differential enforces.
+        run never drove needs no reset.  It leans on the invariant that
+        pristine implies sealed state, which the ``REPRO_POOL_DEBUG``
+        restored==fresh differential enforces.
         """
         return (
             self.seen_epoch == 0

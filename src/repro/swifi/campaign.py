@@ -27,14 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.composite.supertrace import (
-    REGISTRY,
-    RecordingSession,
-    ReplaySession,
-    super_trace_enabled,
-    tail_replay_enabled,
-)
-from repro.errors import BlockThread, ReproError, SimulatedFault, SystemHang
+from repro.errors import ReproError, SimulatedFault, SystemHang
 from repro.observe import tracing_enabled
 from repro.swifi.classify import Outcome, OutcomeCounter
 from repro.swifi.injector import FAULT_CLASSES, SwifiController
@@ -48,9 +41,10 @@ DEFAULT_ITERATIONS = 4
 #: Step budget per run; exceeding it means the system livelocked.
 MAX_STEPS = 60_000
 
-#: Kernel counters that make up a campaign's supertrace coverage report
-#: (exported to the ``.timing.json`` sidecar — engine statistics are
-#: knob-dependent, so they must stay out of the main artifact).
+#: Kernel counters of a replay engine this simulator no longer has; they
+#: are always zero.  The cold benchmark in ``perfbench/`` still reads
+#: them, and imports this tuple and :func:`coverage_ratio`, in its traced
+#: run, so the names stay for that benchmark to keep running unchanged.
 COVERAGE_KEYS = (
     "super_trace_runs",
     "super_trace_bypasses",
@@ -61,23 +55,8 @@ COVERAGE_KEYS = (
 )
 
 
-def collect_coverage(kernel, into: Optional[Dict[str, int]] = None):
-    """Fold one finished run's supertrace counters into ``into``."""
-    if into is None:
-        into = dict.fromkeys(COVERAGE_KEYS, 0)
-    stats = kernel.stats
-    for key in COVERAGE_KEYS:
-        into[key] += stats[key]
-    return into
-
-
 def coverage_ratio(coverage: Dict[str, int]) -> float:
-    """Fraction of executed invocation units served by replay.
-
-    Replayed prefix units plus replayed tail units, over every unit that
-    crossed the session — replayed, recorded-bypass, and plain
-    post-divergence authoritative units alike.
-    """
+    """Replayed share of the units in ``coverage`` (0.0: nothing replays)."""
     replayed = (
         coverage["super_trace_runs"] + coverage["super_trace_tail_runs"]
     )
@@ -178,11 +157,7 @@ def execute_run_traced(spec: RunSpec, run_seed: int):
         for stat in (
             "invocations", "upcalls", "faults_vectored", "micro_reboots",
             "steps", "interp_fast_runs", "interp_slow_runs",
-            "trace_cache_hits", "trace_cache_misses",
-            "super_trace_runs", "super_trace_bypasses",
-            "super_trace_divergences", "super_trace_divergent_units",
-            "super_trace_tail_runs", "super_trace_tail_records",
-            "budget_exhausted",
+            "trace_cache_hits", "trace_cache_misses", "budget_exhausted",
         ):
             metrics.counter(stat).inc(system.kernel.stats[stat])
         metrics.counter("runs").inc()
@@ -238,118 +213,22 @@ def _arm_for_class(swifi: SwifiController, spec: RunSpec, point: int) -> None:
         raise ValueError(f"unknown fault class {spec.fault_class!r}")
 
 
-def _campaign_recording(spec: RunSpec, instance=None):
-    """The super-trace recording for this spec, built once per process.
-
-    Recordings exist only for pooled, untraced campaigns: a recording's
-    units hold direct references into the sealed pooled system (images,
-    stubs), so fresh-per-run and flight-recorder runs always execute on
-    the authoritative two-tier path — which is also what makes
-    ``REPRO_SUPER_TRACE=0/1 × REPRO_SYSTEM_POOL=0/1`` artifacts
-    byte-identical by construction.  ``instance`` keys the recording to
-    a private pool snapshot (a cluster node's), whose unit references
-    bind *that* snapshot's images and stubs — the shared-pool recording
-    would silently guard-fail against them every run.  A failed build is
-    cached as None so the campaign never retries it.
-    """
-    if not (
-        super_trace_enabled() and pooling_enabled() and not tracing_enabled()
-    ):
-        return None
-    key = (
-        spec.service, spec.ft_mode, spec.iterations, spec.recovery_mode,
-        instance,
-    )
-    system = GLOBAL_POOL.peek(
-        ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
-        instance=instance,
-    )
-    if system is not None:
-        found, recording = REGISTRY.lookup(key, system)
-        if found:
-            return recording
-    recording = _build_recording(spec, instance=instance)
-    system = GLOBAL_POOL.peek(
-        ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
-        instance=instance,
-    )
-    REGISTRY.store(key, system, recording)
-    return recording
-
-
-def _build_recording(spec: RunSpec, instance=None):
-    """Record the spec's clean (fault-free) invocation sequence.
-
-    Two warm-up passes bring the pooled system's trace caches and
-    exec-compiled fast paths to steady state (the fast path compiles
-    after two clean runs), so the recorded per-unit statistics match the
-    warm state every pooled campaign run executes in.  Any anomaly —
-    workload failure, crash, reboot, exhausted budget — aborts to None:
-    the campaign then runs fully authoritative, never approximated.
-    """
-    workload = workload_for(spec.service)
-    session = None
-    try:
-        for warm in range(3):
-            system = _campaign_system(
-                spec.ft_mode, spec.recovery_mode, instance=instance
-            )
-            kernel = system.kernel
-            swifi = SwifiController(kernel, seed=0)  # never armed
-            handle = workload.install(system, iterations=spec.iterations)
-            if warm == 2:
-                session = RecordingSession(kernel)
-                session.instrument(swifi)
-                kernel._supertrace = session
-            try:
-                system.run(max_steps=MAX_STEPS)
-            finally:
-                kernel._supertrace = None
-            if (
-                not handle.check()
-                or kernel.crashed is not None
-                or kernel.budget_exhausted
-                or system.booter.reboots > 0
-            ):
-                return None
-    except (SystemHang, SimulatedFault, ReproError, BlockThread):
-        return None
-    return session.finish(
-        {"service": spec.service, "ft_mode": spec.ft_mode,
-         "iterations": spec.iterations, "recovery_mode": spec.recovery_mode}
-    )
-
-
 def _drive_run(spec: RunSpec, run_seed: int, system=None, instance=None):
     """Boot (or pool-restore) a system, inject per the spec, run it.
 
     ``instance`` routes the run through a private instance-keyed pool
-    snapshot (a cluster node's) with its own instance-keyed super-trace
-    recording, so node runs replay exactly like shared-pool campaign
-    runs.  ``system`` lets a caller hand in a system it manages itself
-    (e.g. a fresh per-run build); such runs always execute on the
-    authoritative two-tier engine, since recordings bind direct
-    references into a pooled system the caller's is not.
+    snapshot (a cluster node's).  ``system`` lets a caller hand in a
+    system it manages itself (e.g. a fresh per-run build).
     """
     if system is None:
-        # Build the recording *before* the final acquire: the warm-up
-        # passes dirty the pooled snapshot, and this run must start from
-        # a clean restore of it.
-        recording = _campaign_recording(spec, instance=instance)
         system = _campaign_system(
             spec.ft_mode, spec.recovery_mode, instance=instance
         )
-    else:
-        recording = None
     kernel = system.kernel
     swifi = SwifiController(kernel, seed=run_seed)
     workload = workload_for(spec.service)
     handle = workload.install(system, iterations=spec.iterations)
     _arm_for_class(swifi, spec, injection_point(run_seed, spec.horizon))
-    session = None
-    if recording is not None and recording.kernel is kernel:
-        session = ReplaySession(recording, tails=tail_replay_enabled())
-        kernel._supertrace = session
     crash: Optional[BaseException] = None
     steps = 0
     try:
@@ -367,12 +246,6 @@ def _drive_run(spec: RunSpec, run_seed: int, system=None, instance=None):
         # fault, not harness bugs: classify them instead of killing the
         # whole campaign.
         crash = error
-    finally:
-        kernel._supertrace = None
-        if session is not None:
-            # Seal (or dead-cache) a tail recorded during this run so
-            # the next run diverging with the same signature replays it.
-            session.finalize(kernel)
     if kernel.crashed is not None and crash is None:
         crash = kernel.crashed
     outcome = classify_run(spec.ft_mode, system, swifi, handle, crash, steps)
@@ -417,17 +290,13 @@ class CampaignResult:
     seed: int
     ft_mode: str
     fault_class: str = "reg"
-    #: Wall-clock split: calibration + spec construction vs run
-    #: execution.  Deliberately *not* part of :meth:`row` — the Table II
-    #: artifact must stay bit-identical across machines and pooling
-    #: modes; timings go to the ``.timing.json`` sidecar instead.
+    #: Wall-clock split: one-time setup (calibration, spec
+    #: construction, IDL compile, pool boot + seal) vs run execution.
+    #: Deliberately *not* part of :meth:`row` — the Table II artifact
+    #: must stay bit-identical across machines and pooling modes;
+    #: timings go to the ``.timing.json`` sidecar instead.
     setup_wall: float = 0.0
     exec_wall: float = 0.0
-    #: Summed supertrace engine counters (:data:`COVERAGE_KEYS`).  Also
-    #: sidecar-only: the counters depend on the engine knobs
-    #: (``REPRO_SUPER_TRACE``/``REPRO_TAIL_REPLAY``/pooling), which the
-    #: main artifact must be invariant to.
-    coverage: Optional[Dict[str, int]] = None
 
     @property
     def injected(self) -> int:
@@ -548,7 +417,7 @@ class CampaignRunner:
         setup_start = time.perf_counter()
         spec = self.spec()
         seeds = self.run_seeds()
-        coverage = dict.fromkeys(COVERAGE_KEYS, 0)
+        timing: Dict[str, float] = {}
         exec_start = time.perf_counter()
         counter = run_campaign(
             spec,
@@ -557,18 +426,18 @@ class CampaignRunner:
             journal=journal,
             progress=progress,
             trace=trace,
-            coverage=coverage,
+            timing=timing,
         )
         exec_end = time.perf_counter()
+        init_wall = timing["init_wall"]
         return CampaignResult(
             service=self.service,
             counter=counter,
             seed=self.seed,
             ft_mode=self.ft_mode,
             fault_class=self.fault_class,
-            setup_wall=exec_start - setup_start,
-            exec_wall=exec_end - exec_start,
-            coverage=coverage,
+            setup_wall=exec_start - setup_start + init_wall,
+            exec_wall=exec_end - exec_start - init_wall,
         )
 
 
@@ -639,18 +508,12 @@ def write_table2_json(results: List[CampaignResult], path: str) -> None:
         handle.write("\n")
     timing = []
     for result in results:
-        entry = {
+        timing.append({
             "component": result.service,
             "injected": result.injected,
             "setup_wall": result.setup_wall,
             "exec_wall": result.exec_wall,
-        }
-        if result.coverage is not None:
-            entry["coverage"] = dict(result.coverage)
-            entry["replayed_unit_coverage"] = round(
-                coverage_ratio(result.coverage), 6
-            )
-        timing.append(entry)
+        })
     with open(path + ".timing.json", "w", encoding="utf-8") as handle:
         json.dump(timing, handle, indent=2)
         handle.write("\n")

@@ -23,19 +23,13 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.observe import export as trace_export
 from repro.observe.metrics import canonical_metrics, merge_metrics
-from repro.swifi.campaign import (
-    COVERAGE_KEYS,
-    RunSpec,
-    _campaign_recording,
-    _drive_run,
-    collect_coverage,
-    execute_run_traced,
-)
+from repro.swifi.campaign import RunSpec, _drive_run, execute_run_traced
 from repro.swifi.classify import Outcome, OutcomeCounter
 from repro.system import GLOBAL_POOL, compile_all_interfaces, pooling_enabled
 
@@ -53,12 +47,12 @@ def worker_start_method() -> str:
     """The process-pool start method: ``REPRO_WORKER_START`` or auto.
 
     ``fork`` is the zero-copy path: the parent pays all per-process
-    setup once (IDL compilation, pooled boot + seal, the super-trace
-    recording), and forked workers inherit the sealed ``array('I')``
-    images and compiled units copy-on-write — no per-worker boot, no
-    re-pickling.  ``spawn`` keeps the per-worker initializer (each
-    worker boots its own pooled system), which is also the clean
-    fallback wherever fork is unavailable; an explicit
+    setup once (IDL compilation, pooled boot + seal), and forked workers
+    inherit the sealed ``array('I')`` images and compiled interfaces
+    copy-on-write — no per-worker boot, no re-pickling.  ``spawn``
+    keeps the per-worker initializer (each worker boots its own pooled
+    system), which is also the clean fallback wherever fork is
+    unavailable; an explicit
     ``REPRO_WORKER_START=fork`` on such a platform degrades to spawn
     rather than failing.
     """
@@ -96,10 +90,10 @@ def _init_campaign_worker(spec: RunSpec, trace: bool = False) -> None:
     on its first run (the ``compile_all_interfaces`` cache is
     per-process and starts cold) and built a system per run.  Here each
     process compiles once and — when pooling is enabled — boots and
-    seals its pooled system and builds the spec's super-trace recording
-    before the first chunk arrives, so chunk wall times measure
-    injection runs, not setup.  Under fork this runs in the *parent*
-    and workers inherit the whole warm state copy-on-write.
+    seals its pooled system before the first chunk arrives, so chunk
+    wall times measure injection runs, not setup.  Under fork this runs
+    in the *parent* and workers inherit the whole warm state
+    copy-on-write.
     """
     global _WORKER_SPEC, _WORKER_TRACE
     _WORKER_SPEC = spec
@@ -110,7 +104,6 @@ def _init_campaign_worker(spec: RunSpec, trace: bool = False) -> None:
         GLOBAL_POOL.acquire(
             ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode
         )
-        _campaign_recording(spec)
 
 
 def fan_out_chunks(
@@ -120,7 +113,7 @@ def fan_out_chunks(
     initializer=None,
     initargs: tuple = (),
     on_batch=None,
-) -> None:
+) -> float:
     """Fan ``execute`` out over chunked seeds — the shared campaign core.
 
     ``execute(seeds)`` must be a picklable module-level function taking
@@ -135,31 +128,38 @@ def fan_out_chunks(
     the ``fork`` start method (see :func:`worker_start_method`) the
     initializer also runs in the parent, *before* the pool exists, so
     forked workers inherit its work — sealed pooled system, compiled
-    interfaces, super-trace recording — copy-on-write instead of
-    rebuilding it per worker.  Used by both the SWIFI table campaigns
-    and the web-server Fig. 7 campaign.
+    interfaces — copy-on-write instead of rebuilding it per worker.
+    Used by both the SWIFI table campaigns and the web-server Fig. 7
+    campaign.
+
+    Returns the wall seconds the initializer took in this process, so
+    callers can bill that one-time setup apart from run execution.  It
+    is zero under ``spawn``, where each worker runs the initializer
+    inside the pool and its cost lands in the chunks' wall time.
     """
-    if workers <= 1 or len(pending) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
+    serial = workers <= 1 or len(pending) <= 1
+    method = worker_start_method()
+    init_wall = 0.0
+    if initializer is not None and (serial or method == "fork"):
+        init_start = time.perf_counter()
+        initializer(*initargs)
+        init_wall = time.perf_counter() - init_start
+        initializer, initargs = None, ()
+    if serial:
         for seed in pending:
             on_batch(execute([seed]))
-        return
+        return init_wall
     chunks = chunk_seeds(pending, workers)
-    method = worker_start_method()
-    pool_initializer, pool_initargs = initializer, initargs
-    if method == "fork" and initializer is not None:
-        initializer(*initargs)
-        pool_initializer, pool_initargs = None, ()
     with ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context(method),
-        initializer=pool_initializer,
-        initargs=pool_initargs,
+        initializer=initializer,
+        initargs=initargs,
     ) as pool:
         futures = [pool.submit(execute, chunk) for chunk in chunks]
         for future in as_completed(futures):
             on_batch(future.result())
+    return init_wall
 
 
 def _execute_chunk(seeds: List[int]):
@@ -167,29 +167,22 @@ def _execute_chunk(seeds: List[int]):
 
     Reads the campaign parameters from the initializer-set module
     globals — the submitted payload is just the seed list.  Returns
-    ``(triples, coverage)`` where the triples are ``(run_seed,
-    outcome.value, run_record_or_None)`` — plain strings/dicts, not
-    enum members, so results serialise cheaply across the process
-    boundary and into the journal — and ``coverage`` sums the chunk's
-    supertrace engine counters (zeros when the engine is off or the
-    run is traced).  With the trace flag set, each run executes under
-    the flight recorder and ships its event journal + per-run metrics
-    back to the parent, which merges and exports them
-    deterministically.
+    ``(run_seed, outcome.value, run_record_or_None)`` triples — plain
+    strings/dicts, not enum members, so results serialise cheaply
+    across the process boundary and into the journal.  With the trace
+    flag set, each run executes under the flight recorder and ships its
+    event journal + per-run metrics back to the parent, which merges
+    and exports them deterministically.
     """
     spec, trace = _WORKER_SPEC, _WORKER_TRACE
-    coverage = dict.fromkeys(COVERAGE_KEYS, 0)
     results: List[Tuple[int, str, Optional[dict]]] = []
-    if not trace:
-        for seed in seeds:
-            outcome, system, __, __, __ = _drive_run(spec, seed)
-            collect_coverage(system.kernel, coverage)
-            results.append((seed, outcome.value, None))
-        return results, coverage
     for seed in seeds:
-        outcome, record = execute_run_traced(spec, seed)
+        if trace:
+            outcome, record = execute_run_traced(spec, seed)
+        else:
+            outcome, record = _drive_run(spec, seed)[0], None
         results.append((seed, outcome.value, record))
-    return results, coverage
+    return results
 
 
 class CampaignJournal:
@@ -250,16 +243,14 @@ def run_campaign(
     journal: Optional[str] = None,
     progress=None,
     trace: Optional[str] = None,
-    coverage: Optional[Dict[str, int]] = None,
+    timing: Optional[Dict[str, float]] = None,
 ) -> OutcomeCounter:
     """Execute a campaign's runs and aggregate their outcomes.
 
-    ``coverage``, if given, is filled in place with the campaign's
-    summed supertrace engine counters (see
-    :data:`~repro.swifi.campaign.COVERAGE_KEYS`) — engine statistics
-    are knob-dependent, so they ride the timing sidecar, never the
-    main artifact.  Journal-replayed runs were not re-executed and
-    contribute nothing.
+    ``timing``, if given, receives ``init_wall``: the seconds this
+    process spent in the campaign initializer (IDL compile, pool boot +
+    seal; see :func:`fan_out_chunks`), which callers bill as one-time
+    setup rather than run execution.
 
     ``workers=None`` uses one worker per CPU (:func:`default_workers`);
     ``workers=1`` (or a single pending run) stays in-process with no
@@ -288,12 +279,8 @@ def run_campaign(
     records: Dict[int, dict] = {}
     tracing = trace is not None
 
-    def note(batch) -> None:
+    def note(triples) -> None:
         nonlocal completed
-        triples, chunk_coverage = batch
-        if coverage is not None:
-            for key, value in chunk_coverage.items():
-                coverage[key] = coverage.get(key, 0) + value
         if book is not None:
             book.append(spec, [(seed, value) for seed, value, __ in triples])
         for run_seed, value, record in triples:
@@ -304,7 +291,7 @@ def run_campaign(
             if progress is not None:
                 progress(completed, total, outcomes[run_seed])
 
-    fan_out_chunks(
+    init_wall = fan_out_chunks(
         _execute_chunk,
         pending,
         workers,
@@ -312,6 +299,8 @@ def run_campaign(
         initargs=(spec, tracing),
         on_batch=note,
     )
+    if timing is not None:
+        timing["init_wall"] = init_wall
 
     counter = OutcomeCounter()
     for seed in run_seeds:

@@ -425,32 +425,6 @@ class SystemPool:
                 )
         return system
 
-    def peek(
-        self,
-        ft_mode: str = "superglue",
-        apps=DEFAULT_APPS,
-        recovery_mode: str = "ondemand",
-        prepare: Optional[Callable[[System], None]] = None,
-        instance: Optional[object] = None,
-    ) -> Optional[System]:
-        """The pooled system for these parameters, *without* restoring.
-
-        Identity-only lookup for caches that key state to a specific
-        pooled system object (e.g. the super-trace registry): a restore
-        here would double the per-run restore cost for nothing.
-        """
-        key = (
-            ft_mode,
-            tuple(apps),
-            recovery_mode,
-            None
-            if prepare is None
-            else f"{prepare.__module__}.{prepare.__qualname__}",
-            instance,
-        )
-        snapshot = self._snapshots.get(key)
-        return None if snapshot is None else snapshot.system
-
     def snapshot_for(
         self,
         ft_mode: str = "superglue",

@@ -31,13 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.composite.scheduler import CYCLES_PER_US
-from repro.composite.supertrace import (
-    REGISTRY,
-    RecordingSession,
-    ReplaySession,
-    super_trace_enabled,
-)
-from repro.errors import BlockThread, ReproError, SimulatedFault, SystemHang
 from repro.observe import export as trace_export
 from repro.observe import tracing_enabled
 from repro.observe.metrics import (
@@ -46,7 +39,7 @@ from repro.observe.metrics import (
     canonical_metrics,
     merge_metrics,
 )
-from repro.swifi.injector import FAULT_CLASSES, SwifiController
+from repro.swifi.injector import FAULT_CLASSES
 from repro.swifi.parallel import default_workers, fan_out_chunks
 from repro.system import (
     GLOBAL_POOL,
@@ -95,7 +88,7 @@ class WebRunSpec:
     slo_us: int = 500
     #: Seed of the arrival schedule itself — deliberately separate from
     #: the SWIFI run seeds, so every seeded run of a campaign shares one
-    #: arrival stream (and one super-trace recording).
+    #: arrival stream.
     arrival_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -176,115 +169,6 @@ def _web_system(spec: WebRunSpec):
     )
     prepare_webserver(system)
     return system
-
-
-def _web_recording(spec: WebRunSpec):
-    """The web workload's super-trace recording, built once per process.
-
-    Same gating as the SWIFI campaigns' ``_campaign_recording``:
-    recordings bind direct references into the pooled sealed system, so
-    they exist only for pooled, untraced campaigns — everything else
-    stays on the authoritative two-tier path.  A failed build is cached
-    as None so the campaign never retries it.
-    """
-    if not (
-        super_trace_enabled() and pooling_enabled() and not tracing_enabled()
-    ):
-        return None
-    # The fingerprint covers every behavior-relevant field (arrival
-    # schedule included) except the step budget.
-    key = ("webserver", spec.fingerprint(), spec.max_steps)
-    system = GLOBAL_POOL.peek(
-        ft_mode=spec.ft_mode,
-        recovery_mode=spec.recovery_mode,
-        prepare=prepare_webserver,
-    )
-    if system is not None:
-        found, recording = REGISTRY.lookup(key, system)
-        if found:
-            return recording
-    recording = _build_web_recording(spec)
-    system = GLOBAL_POOL.peek(
-        ft_mode=spec.ft_mode,
-        recovery_mode=spec.recovery_mode,
-        prepare=prepare_webserver,
-    )
-    REGISTRY.store(key, system, recording)
-    return recording
-
-
-def _build_web_recording(spec: WebRunSpec):
-    """Record the clean (fault-free) request stream for replay.
-
-    Web faults are not seed-positioned: every faulted run arms at the
-    same deterministic served-count crossings (see
-    ``run_webserver``'s ``arm_on_progress``), and only the armed
-    *target service's* execution differs between seeds.  So one clean
-    recording serves every seed — but the units in which an
-    ``on_served`` crossing fires must not be replayed, because replay
-    skips the Python that invokes the hook.  A probe mirroring the
-    arming cadence calls :meth:`RecordingSession.mark_external` during
-    exactly those units, recording them as bypasses: at replay the real
-    ``arm_on_progress`` runs inside them, arming faults authoritatively,
-    and any in-unit delivery diverges the replay for good (end-clock
-    verification).  Any anomaly in the clean run aborts to None.
-    """
-    gap = max(spec.n_requests // (spec.n_faults + 1), 1)
-    session = None
-    try:
-        for warm in range(3):
-            system = _web_system(spec)
-            kernel = system.kernel
-            swifi = SwifiController(kernel, seed=0)  # never armed
-            probe = None
-            if warm == 2:
-                session = RecordingSession(kernel)
-                session.instrument(swifi)
-                kernel._supertrace = session
-                if spec.n_faults > 0:
-                    state = {"served": 0, "left": spec.n_faults}
-
-                    def probe(served: int) -> None:
-                        # Mirrors arm_on_progress exactly: the cadence
-                        # anchor advances on every crossing, armed or
-                        # not, so late crossings line up too.
-                        if served - state["served"] >= gap:
-                            state["served"] = served
-                            if state["left"] > 0:
-                                state["left"] -= 1
-                                session.mark_external()
-            try:
-                result = run_webserver(
-                    ft_mode=spec.ft_mode,
-                    n_requests=spec.n_requests,
-                    concurrency=spec.concurrency,
-                    n_workers=spec.n_workers,
-                    with_faults=False,
-                    seed=0,
-                    max_steps=spec.max_steps,
-                    system=system,
-                    warn_shortfall=False,
-                    progress_hook=probe,
-                    arrival_spec=spec.arrival_spec(),
-                    slo_us=spec.slo_us if spec.arrivals == "open" else None,
-                )
-            finally:
-                kernel._supertrace = None
-            if (
-                result.crashed is not None
-                or result.served < spec.n_requests
-                or result.reboots > 0
-            ):
-                return None
-    except (SystemHang, SimulatedFault, ReproError, BlockThread):
-        return None
-    return session.finish(
-        {"service": "webserver", "ft_mode": spec.ft_mode,
-         "n_requests": spec.n_requests, "concurrency": spec.concurrency,
-         "n_workers": spec.n_workers, "n_faults": spec.n_faults,
-         "recovery_mode": spec.recovery_mode, "arrivals": spec.arrivals,
-         "fingerprint": spec.fingerprint()}
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -411,31 +295,23 @@ def execute_web_run(spec: WebRunSpec, run_seed: int) -> Dict[str, object]:
     Module-level and pure (given the spec and seed) so process-pool
     workers can run it from chunks, like the SWIFI ``execute_run``.
     """
-    recording = _web_recording(spec)
-    system = _web_system(spec)
-    kernel = system.kernel
-    if recording is not None and recording.kernel is kernel:
-        kernel._supertrace = ReplaySession(recording)
-    try:
-        result = run_webserver(
-            ft_mode=spec.ft_mode,
-            n_requests=spec.n_requests,
-            concurrency=spec.concurrency,
-            n_workers=spec.n_workers,
-            with_faults=spec.n_faults > 0,
-            n_faults=spec.n_faults,
-            seed=run_seed,
-            max_steps=spec.max_steps,
-            system=system,
-            # Shortfalls are first-class row data (faults_armed) in a
-            # campaign, not per-run stderr noise.
-            warn_shortfall=False,
-            arrival_spec=spec.arrival_spec(),
-            slo_us=spec.slo_us if spec.arrivals == "open" else None,
-            fault_class=spec.fault_class,
-        )
-    finally:
-        kernel._supertrace = None
+    result = run_webserver(
+        ft_mode=spec.ft_mode,
+        n_requests=spec.n_requests,
+        concurrency=spec.concurrency,
+        n_workers=spec.n_workers,
+        with_faults=spec.n_faults > 0,
+        n_faults=spec.n_faults,
+        seed=run_seed,
+        max_steps=spec.max_steps,
+        system=_web_system(spec),
+        # Shortfalls are first-class row data (faults_armed) in a
+        # campaign, not per-run stderr noise.
+        warn_shortfall=False,
+        arrival_spec=spec.arrival_spec(),
+        slo_us=spec.slo_us if spec.arrivals == "open" else None,
+        fault_class=spec.fault_class,
+    )
     return _row_from_result(run_seed, result)
 
 
@@ -477,7 +353,6 @@ def execute_web_run_traced(
             "invocations", "upcalls", "faults_vectored", "micro_reboots",
             "steps", "interp_fast_runs", "interp_slow_runs",
             "trace_cache_hits", "trace_cache_misses", "budget_exhausted",
-            "super_trace_runs", "super_trace_bypasses",
         ):
             metrics.counter(stat).inc(system.kernel.stats[stat])
         metrics.counter("runs").inc()
@@ -507,7 +382,7 @@ _WEB_TRACE: bool = False
 
 
 def _init_web_worker(spec: WebRunSpec, trace: bool = False) -> None:
-    """Campaign initializer: compile + boot/seal + record up front.
+    """Campaign initializer: compile + boot/seal up front.
 
     Runs in the parent under the fork start method (workers inherit the
     warm state copy-on-write) and per worker under spawn.
@@ -523,7 +398,6 @@ def _init_web_worker(spec: WebRunSpec, trace: bool = False) -> None:
             recovery_mode=spec.recovery_mode,
             prepare=prepare_webserver,
         )
-        _web_recording(spec)
 
 
 def _execute_web_chunk(
@@ -692,7 +566,7 @@ def run_webserver_campaign(
                 progress(len(rows_by_seed), len(seeds), row)
 
     exec_start = time.perf_counter()
-    fan_out_chunks(
+    init_wall = fan_out_chunks(
         _execute_web_chunk,
         seeds,
         workers,
@@ -709,8 +583,8 @@ def run_webserver_campaign(
         seeds=seeds,
         rows=rows,
         aggregate=aggregate_rows(spec, rows),
-        setup_wall=exec_start - setup_start,
-        exec_wall=exec_end - exec_start,
+        setup_wall=exec_start - setup_start + init_wall,
+        exec_wall=exec_end - exec_start - init_wall,
     )
 
 

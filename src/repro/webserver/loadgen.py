@@ -273,7 +273,6 @@ def run_webserver(
     max_steps: int = 5_000_000,
     system=None,
     warn_shortfall: bool = True,
-    progress_hook=None,
     arrival_spec: Optional[ArrivalSpec] = None,
     slo_us: Optional[int] = None,
     fault_class: str = "reg",
@@ -296,11 +295,6 @@ def run_webserver(
     pre-built system; the web-server application components must already
     be registered on it (see
     :func:`repro.webserver.server.register_webserver_components`).
-
-    ``progress_hook`` installs an ``on_served`` observer on fault-free
-    runs (ignored with ``with_faults``, which owns the hook) — the
-    super-trace recorder uses it to mark the units where a faulted run
-    would arm, without perturbing the clean execution.
     """
     if system is None:
         system = build_system(ft_mode=ft_mode)
@@ -336,8 +330,6 @@ def run_webserver(
                     armed["count"] += 1
 
         server.on_served = arm_on_progress
-    elif progress_hook is not None:
-        server.on_served = progress_hook
 
     kernel = system.kernel
     crashed: Optional[str] = None

@@ -90,9 +90,8 @@ class TestArrivalSpec:
         assert a != b
 
     def test_arrival_seed_independent_of_equal_specs(self):
-        # Two equal specs are the *same* schedule object-for-object —
-        # this is what lets one super-trace recording serve all SWIFI
-        # seeds of a campaign.
+        # Two equal specs are the *same* schedule object-for-object, so
+        # every SWIFI seed of a campaign sees one arrival stream.
         a = ArrivalSpec(n_requests=80, load=2.0, seed=3)
         b = ArrivalSpec(n_requests=80, load=2.0, seed=3)
         assert a.build(SITE) == b.build(SITE)

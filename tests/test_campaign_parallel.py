@@ -1,10 +1,17 @@
 """Tests for the parallel deterministic SWIFI campaign engine."""
 
 import json
+import multiprocessing
+import pickle
+import time
 
 import pytest
 
 from repro.__main__ import main
+from repro.cluster import ClusterSpec
+from repro.cluster import campaign as cluster_campaign
+from repro.swifi import parallel
+from repro.webserver import campaign as web_campaign
 from repro.swifi.campaign import (
     CampaignRunner,
     RunSpec,
@@ -117,6 +124,170 @@ class TestJournal:
         a = RunSpec("lock", "superglue", 4, 100)
         b = RunSpec("lock", "c3", 4, 100)
         assert a.fingerprint() != b.fingerprint()
+
+
+class TestZeroCopyWorkers:
+    def test_chunk_payload_is_seeds_only(self):
+        # The submitted payload is (function-by-reference, seed list):
+        # campaign parameters travel through the initializer exactly
+        # once per process, never per chunk.
+        seeds = list(range(200))
+        payload = pickle.dumps((parallel._execute_chunk, (seeds,)))
+        overhead = len(payload) - len(pickle.dumps(seeds))
+        assert overhead < 150
+        assert b"RunSpec" not in payload
+
+    def test_start_method_resolution(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKER_START", "spawn")
+        assert parallel.worker_start_method() == "spawn"
+        monkeypatch.delenv("REPRO_WORKER_START")
+        assert parallel.worker_start_method() in ("fork", "spawn")
+
+    def test_fork_unavailable_falls_back_to_spawn(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKER_START", "fork")
+        monkeypatch.setattr(
+            parallel.multiprocessing,
+            "get_all_start_methods",
+            lambda: ["spawn"],
+        )
+        assert parallel.worker_start_method() == "spawn"
+
+    def test_in_process_path_runs_initializer(self):
+        calls = []
+        batches = []
+        parallel.fan_out_chunks(
+            lambda seeds: seeds,
+            [1, 2, 3],
+            workers=1,
+            initializer=lambda *a: calls.append(a),
+            initargs=("spec", False),
+            on_batch=batches.append,
+        )
+        assert calls == [("spec", False)]
+        assert batches == [[1], [2], [3]]
+
+    @pytest.mark.parametrize("start", ["fork", "spawn"])
+    def test_parallel_identical_to_serial(self, monkeypatch, start):
+        if start not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start} start method unavailable")
+        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+        runner = CampaignRunner("lock", n_faults=8, seed=4)
+        spec = runner.spec()
+        seeds = runner.run_seeds()
+        serial = parallel.run_campaign(spec, seeds, workers=1)
+        monkeypatch.setenv("REPRO_WORKER_START", start)
+        fanned = parallel.run_campaign(spec, seeds, workers=2)
+        assert fanned.counts == serial.counts
+
+
+class TestWallClockSplit:
+    def test_initializer_work_is_billed_to_setup(self, monkeypatch):
+        # IDL compile and pool boot + seal run once, in the campaign
+        # initializer: one-time setup, not run execution.  A frozen
+        # clock that only the compile advances shows where it lands.
+        now = [0.0]
+        monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+        compile_all = parallel.compile_all_interfaces
+
+        def slow_compile(force=False):
+            now[0] += 100.0
+            return compile_all(force)
+
+        monkeypatch.setattr(parallel, "compile_all_interfaces", slow_compile)
+        result = CampaignRunner("lock", n_faults=3, seed=1).run(workers=1)
+        assert result.setup_wall == 100.0
+        assert result.exec_wall == 0.0
+
+    def test_pool_boot_is_billed_to_setup(self, monkeypatch):
+        now = [0.0]
+        monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+        pool = parallel.GLOBAL_POOL
+
+        class SlowBoot:
+            def acquire(self, **kwargs):
+                now[0] += 40.0
+                return pool.acquire(**kwargs)
+
+        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+        monkeypatch.setattr(parallel, "GLOBAL_POOL", SlowBoot())
+        result = CampaignRunner("lock", n_faults=3, seed=1).run(workers=1)
+        assert result.setup_wall == 40.0
+        assert result.exec_wall == 0.0
+
+    def test_runs_are_billed_to_exec(self, monkeypatch):
+        now = [0.0]
+        monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+        drive = parallel._drive_run
+
+        def slow_run(spec, seed):
+            now[0] += 1.0
+            return drive(spec, seed)
+
+        monkeypatch.setattr(parallel, "_drive_run", slow_run)
+        runner = CampaignRunner("lock", n_faults=3, seed=1)
+        result = runner.run(workers=1)
+        assert result.setup_wall == 0.0
+        assert result.exec_wall == float(len(runner.run_seeds()))
+
+    def test_fan_out_returns_initializer_wall(self, monkeypatch):
+        now = [0.0]
+        monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+
+        def slow_init():
+            now[0] += 7.0
+
+        init_wall = parallel.fan_out_chunks(
+            lambda seeds: seeds, [1, 2], workers=1,
+            initializer=slow_init, on_batch=lambda batch: None,
+        )
+        assert init_wall == 7.0
+
+    def test_fan_out_without_initializer_bills_nothing(self):
+        batches = []
+        init_wall = parallel.fan_out_chunks(
+            lambda seeds: seeds, [1, 2], workers=1, on_batch=batches.append,
+        )
+        assert init_wall == 0.0
+        assert batches == [[1], [2]]
+
+    def test_web_initializer_work_is_billed_to_setup(self, monkeypatch):
+        now = [0.0]
+        monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+        compile_all = web_campaign.compile_all_interfaces
+
+        def slow_compile(force=False):
+            now[0] += 100.0
+            return compile_all(force)
+
+        monkeypatch.setattr(web_campaign, "compile_all_interfaces", slow_compile)
+        result = web_campaign.run_webserver_campaign(
+            web_campaign.web_run_seeds(1, 2),
+            web_campaign.WebRunSpec(n_requests=40, n_faults=1),
+            workers=1,
+        )
+        assert result.setup_wall == 100.0
+        assert result.exec_wall == 0.0
+
+    def test_cluster_initializer_work_is_billed_to_setup(self, monkeypatch):
+        now = [0.0]
+        monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+        compile_all = cluster_campaign.compile_all_interfaces
+
+        def slow_compile(force=False):
+            now[0] += 100.0
+            return compile_all(force)
+
+        monkeypatch.setattr(
+            cluster_campaign, "compile_all_interfaces", slow_compile
+        )
+        spec = ClusterSpec(
+            service="lock", n_nodes=3, n_kill=1, units=4, horizon=17
+        )
+        result = cluster_campaign.run_cluster_campaign(
+            cluster_campaign.cluster_run_seeds(31, 2), spec, workers=1
+        )
+        assert result.setup_wall == 100.0
+        assert result.exec_wall == 0.0
 
 
 class TestArtifacts:

@@ -193,35 +193,6 @@ class TestFailover:
             parallel.to_json_dict()
         )
 
-    def test_supertraced_rows_identical_to_authoritative(self, monkeypatch):
-        """Instance-keyed replay: node outcomes match the two-tier path.
-
-        With pooling + super-traces on, every node replays recordings
-        made against its own private snapshot (registry keys carry the
-        pool instance).  The scenario rows — outcome mix, failovers,
-        reboots, durations — must be identical to the authoritative
-        two-tier execution, tails included.
-        """
-        from repro.composite.supertrace import REGISTRY
-
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        spec = _spec(units=4)
-        seeds = cluster_run_seeds(31, 3)
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "0")
-        baseline = [execute_scenario(spec, s) for s in seeds]
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
-        monkeypatch.setenv("REPRO_TAIL_REPLAY", "1")
-        assert [execute_scenario(spec, s) for s in seeds] == baseline
-        # The engine really engaged, with per-node recordings: the
-        # registry holds instance-keyed entries for the cluster nodes.
-        instances = {
-            key[-1] for key in REGISTRY._entries if key[-1] is not None
-        }
-        assert any(
-            isinstance(inst, tuple) and inst[0] == "cluster"
-            for inst in instances
-        )
-
     def test_unit_outcomes_match_flat_campaign(self):
         """Cluster units == flat campaign runs for the same (spec, seed).
 

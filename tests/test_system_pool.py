@@ -12,10 +12,14 @@ import pytest
 
 from repro import observe
 from repro.swifi.campaign import (
+    COVERAGE_KEYS,
     CampaignRunner,
     _campaign_system,
+    _drive_run,
+    coverage_ratio,
     execute_run,
 )
+from repro.swifi.injector import FAULT_CLASSES
 from repro.system import (
     GLOBAL_POOL,
     SystemPool,
@@ -24,6 +28,11 @@ from repro.system import (
     pooling_enabled,
     system_fingerprint,
     system_snapshot,
+)
+from repro.webserver.campaign import (
+    WebRunSpec,
+    execute_web_run,
+    web_run_seeds,
 )
 from repro.errors import ReproError
 
@@ -85,6 +94,21 @@ class TestRestoreEqualsFresh:
         storage._sealed_data[("rigged", "key")] = 1
         with pytest.raises(ReproError, match="diverged"):
             pool.acquire(ft_mode="superglue")
+
+    @pytest.mark.parametrize("fault_class", FAULT_CLASSES)
+    def test_pool_debug_clean_after_injected_runs(
+        self, monkeypatch, fault_class
+    ):
+        # Every restore after an injected run must produce a system
+        # structurally identical to a fresh build, whatever the class.
+        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+        monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
+        runner = CampaignRunner(
+            "lock", n_faults=8, seed=7, fault_class=fault_class
+        )
+        spec = runner.spec()
+        for seed in runner.run_seeds():
+            execute_run(spec, seed)  # raises ReproError on divergence
 
 
 class TestDirtyUnderFaults:
@@ -161,8 +185,16 @@ class TestPoolGate:
 
 
 class TestOutcomeInvariance:
-    def test_pooled_matches_fresh_over_100_run_sweep(self, monkeypatch):
-        spec = _lock_spec(seed=3)
+    @pytest.mark.parametrize("fault_class", FAULT_CLASSES)
+    def test_pooled_matches_fresh_over_100_run_sweep(
+        self, monkeypatch, fault_class
+    ):
+        # Every idl run against lock fail-stops to the same outcome;
+        # against sched the idl sweep mixes two.
+        service = "sched" if fault_class == "idl" else "lock"
+        spec = CampaignRunner(
+            service, n_faults=0, seed=3, fault_class=fault_class
+        ).spec()
         seeds = [3 * 1_000_003 + i for i in range(100)]
         monkeypatch.setenv("REPRO_SYSTEM_POOL", "0")
         fresh = [execute_run(spec, s) for s in seeds]
@@ -172,3 +204,70 @@ class TestOutcomeInvariance:
         # The sweep must exercise more than one outcome class for the
         # comparison to mean anything.
         assert len(set(fresh)) > 1
+
+    @pytest.mark.parametrize("fault_class", FAULT_CLASSES)
+    def test_warm_pool_resweep_is_identical(self, monkeypatch, fault_class):
+        # A second pass over the same seeds restores a pool already
+        # dirtied by the first: outcomes must not depend on pool history.
+        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+        runner = CampaignRunner(
+            "lock", n_faults=15, seed=2, fault_class=fault_class
+        )
+        spec = runner.spec()
+        seeds = runner.run_seeds()
+        first = [execute_run(spec, s) for s in seeds]
+        assert [execute_run(spec, s) for s in seeds] == first
+
+    def test_clean_web_workload_pooled_matches_fresh(self, monkeypatch):
+        # A fault-free web workload: every row is ok and pooled rows are
+        # byte-identical to fresh builds.
+        spec = WebRunSpec(ft_mode="superglue", n_requests=80, n_faults=0)
+        seeds = web_run_seeds(2, 3)
+        monkeypatch.setenv("REPRO_SYSTEM_POOL", "0")
+        fresh = [execute_web_run(spec, s) for s in seeds]
+        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+        assert [execute_web_run(spec, s) for s in seeds] == fresh
+        assert {row["outcome"] for row in fresh} == {"ok"}
+
+
+class TestRetiredCounters:
+    """The ``super_trace_*`` kernel counters stay, always zero, for the
+    cold benchmark that still reads them."""
+
+    @pytest.mark.parametrize("ft_mode", ["superglue", "c3", "none"])
+    def test_fresh_kernel_carries_every_key(self, ft_mode):
+        stats = build_system(ft_mode).kernel.stats
+        assert {key: stats[key] for key in COVERAGE_KEYS} == dict.fromkeys(
+            COVERAGE_KEYS, 0
+        )
+
+    @pytest.mark.parametrize("fault_class", FAULT_CLASSES)
+    def test_counters_stay_zero_under_injection(
+        self, monkeypatch, fault_class
+    ):
+        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+        runner = CampaignRunner(
+            "lock", n_faults=6, seed=5, fault_class=fault_class
+        )
+        spec = runner.spec()
+        coverage = dict.fromkeys(COVERAGE_KEYS, 0)
+        invocations = 0
+        for seed in runner.run_seeds():
+            system = _drive_run(spec, seed)[1]
+            invocations += system.kernel.stats["invocations"]
+            for key in COVERAGE_KEYS:
+                coverage[key] += system.kernel.stats[key]
+        assert invocations > 0
+        assert coverage == dict.fromkeys(COVERAGE_KEYS, 0)
+        assert coverage_ratio(coverage) == 0.0
+
+    def test_coverage_ratio_arithmetic(self):
+        coverage = dict(
+            super_trace_runs=3,
+            super_trace_tail_runs=1,
+            super_trace_bypasses=2,
+            super_trace_divergent_units=2,
+            super_trace_tail_records=5,
+            super_trace_divergences=7,
+        )
+        assert coverage_ratio(coverage) == 0.5

@@ -314,7 +314,7 @@ class TestOpenLoopCampaign:
 
     def test_fingerprint_extends_only_for_non_defaults(self):
         # Historical closed-loop reg fingerprints are frozen: trace
-        # artifacts and recordings key on them.
+        # artifacts key on them.
         assert SMOKE_SPEC.fingerprint() == (
             "webserver/superglue/r40/c10/w2/f2/ondemand"
         )
