@@ -39,11 +39,13 @@ throughput:
 	$(PY) scripts/check_campaign_baseline.py /tmp/campaign_throughput.json
 
 # cProfile over a small campaign; SERVICE/FAULTS/SORT overridable.
+# MEMORY=1 swaps in the tracemalloc memory view of the same campaign.
 SERVICE ?= lock
 FAULTS ?= 50
 SORT ?= cumulative
+MEMORY ?=
 profile:
-	$(PY) scripts/profile_campaign.py --service $(SERVICE) --faults $(FAULTS) --sort $(SORT)
+	$(PY) scripts/profile_campaign.py --service $(SERVICE) --faults $(FAULTS) --sort $(SORT) $(if $(MEMORY),--memory)
 
 # The paper-scale campaign (500 faults per service), fanned out over the
 # worker pool; aggregates are bit-identical to a serial run.

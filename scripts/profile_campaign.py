@@ -3,6 +3,7 @@
 
 Usage:  python scripts/profile_campaign.py [--service lock] [--faults 50]
                 [--seed 0] [--sort cumulative] [--top 25] [--no-phases]
+                [--memory]
 
 Two views of the same campaign, both single-process (workers=1, so the
 numbers cover the actual work instead of pool plumbing):
@@ -16,7 +17,15 @@ numbers cover the actual work instead of pool plumbing):
   dominated every profile; after, the interpreter drops below the
   stub/kernel bookkeeping.
 
-Also available as ``make profile`` (SERVICE/FAULTS overridable).
+``--memory`` replaces both with a **memory view** of the same campaign
+under ``tracemalloc``: the bytes still held after importing the three
+campaign layers against the bytes the campaign added on top, the
+process's peak RSS (``ru_maxrss``), which process-pool modules got
+loaded, and the top allocation sites by line of everything still held
+at the end.  That is the tool that sized the sparse good images.
+
+Also available as ``make profile`` (SERVICE/FAULTS overridable; add
+``MEMORY=1`` for the memory view).
 """
 
 from __future__ import annotations
@@ -24,13 +33,16 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.swifi.campaign import CampaignRunner  # noqa: E402
+#: Modules a serial campaign should never load (see swifi/parallel.py).
+POOL_MODULES = ("multiprocessing", "concurrent.futures")
 
 
 def phase_breakdown(service: str, n_faults: int, seed: int) -> None:
@@ -50,6 +62,7 @@ def phase_breakdown(service: str, n_faults: int, seed: int) -> None:
         classify_run,
         injection_point,
     )
+    from repro.swifi.campaign import CampaignRunner
     from repro.swifi.injector import SwifiController
     from repro.system import (
         GLOBAL_POOL, compile_all_interfaces, pooling_enabled,
@@ -122,6 +135,47 @@ def phase_breakdown(service: str, n_faults: int, seed: int) -> None:
     print()
 
 
+def memory_profile(service: str, n_faults: int, seed: int, top: int) -> None:
+    """Print import vs run bytes, peak RSS and the top allocation sites.
+
+    ``tracemalloc`` starts before ``repro`` is imported, so the import
+    share covers every module the three campaign layers load — the
+    same imports the cold benchmark times.
+    """
+    tracemalloc.start()
+    import repro.cluster.campaign  # noqa: F401
+    import repro.swifi.campaign
+    import repro.webserver.campaign  # noqa: F401
+
+    imported, __ = tracemalloc.get_traced_memory()
+    runner = repro.swifi.campaign.CampaignRunner(
+        service, n_faults=n_faults, seed=seed
+    )
+    result = runner.run(workers=1)
+    held, peak = tracemalloc.get_traced_memory()
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(False, tracemalloc.__file__)]
+    )
+    tracemalloc.stop()
+    maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+    counts = {o.value: c for o, c in result.counter.counts.items()}
+    print(f"campaign: service={service} faults={n_faults} seed={seed} "
+          f"outcomes={counts}\n")
+    print("memory (tracemalloc, bytes still held):")
+    print(f"  after import          {imported / 1024:10.1f} KiB")
+    print(f"  added by the run      {(held - imported) / 1024:10.1f} KiB")
+    print(f"  traced peak           {peak / 1024:10.1f} KiB")
+    print(f"  ru_maxrss             {maxrss_kb / 1024:10.1f} MiB")
+    loaded = [name for name in POOL_MODULES if name in sys.modules]
+    print(f"  process-pool modules  {', '.join(loaded) or 'none loaded'}")
+    print(f"\ntop {top} allocation sites by line (held at the end):")
+    for stat in snapshot.statistics("lineno")[:top]:
+        frame = stat.traceback[0]
+        print(f"  {stat.size / 1024:10.1f} KiB {stat.count:8d} blocks  "
+              f"{frame.filename}:{frame.lineno}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--service", default="lock",
@@ -135,7 +189,15 @@ def main(argv=None) -> int:
                         help="rows of profile output (default: 25)")
     parser.add_argument("--no-phases", action="store_true",
                         help="skip the per-phase wall breakdown")
+    parser.add_argument("--memory", action="store_true",
+                        help="memory view under tracemalloc instead of "
+                             "the wall-clock views")
     args = parser.parse_args(argv)
+
+    if args.memory:
+        memory_profile(args.service, args.faults, args.seed, args.top)
+        return 0
+    from repro.swifi.campaign import CampaignRunner
 
     if not args.no_phases:
         phase_breakdown(args.service, args.faults, args.seed)

@@ -80,11 +80,10 @@ class FastProgram:
 
     __slots__ = (
         "run", "base", "size", "component_name", "n_ops", "trace_len",
-        "source",
     )
 
     def __init__(self, run, base: int, size: int, component_name: str,
-                 n_ops: int, trace_len: int, source: str):
+                 n_ops: int, trace_len: int):
         #: ``run(values, words, dirty) -> (ret_value, cycles)``; raises
         #: the simulated-fault family exactly as the slow path would.
         #: ``dirty`` is the image's dirty-page bitmap: every compiled
@@ -98,7 +97,6 @@ class FastProgram:
         #: len(trace.ops) at compile time — staleness guard against a
         #: builder appending ops after compilation.
         self.trace_len = trace_len
-        self.source = source
 
 
 #: Module-level compiled-program memo.  A SWIFI campaign builds a fresh
@@ -288,7 +286,7 @@ def compile_trace(trace: Trace, memory, component_name: str = "?") -> FastProgra
          namespace)
     program = FastProgram(
         namespace["_compiled"], memory.base, memory.size, component_name,
-        n_ops, len(trace.ops), source,
+        n_ops, len(trace.ops),
     )
     if len(_PROGRAM_CACHE) >= _PROGRAM_CACHE_CAPACITY:
         _PROGRAM_CACHE.pop(next(iter(_PROGRAM_CACHE)))
@@ -315,7 +313,7 @@ def try_execute_fast(
     if not FAST_INTERP_ENABLED:
         return None
     try:
-        tainted = memory._taint_count
+        tainted = memory._taint
     except AttributeError:
         # Not a MemoryImage stand-in we know how to vet: stay slow.
         return None

@@ -11,12 +11,22 @@ fault (raised by the trace interpreter, which bounds-checks through
 The image supports the booter's micro-reboot: after a component initialises,
 :meth:`MemoryImage.freeze_good_image` snapshots the words ("a good image");
 :meth:`MemoryImage.micro_reboot` memcpys it back (Section II-C step 3).
+
+Both the good image and the taint map are sparse.  The good image is a
+``{page: array}`` holding only the pages that are non-zero when frozen;
+every other page restores from one shared, module-level zero page.  A
+freeze rescans only the pages written since the last freeze or restore
+(the dirty bitmap), so its cost follows what initialisation touched,
+not the image size.  Taint is a ``set`` of word indices: it only ever
+comes from an injected bit flip, and is empty on almost every run.  The
+live ``words`` stay a dense ``array('I')``, since the compiled fast path
+indexes them directly.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.errors import ReproError
 from repro.composite.machine import WORD_MASK
@@ -41,6 +51,10 @@ PAGE_WORDS = 1 << PAGE_SHIFT
 #: First heap word: the low words are reserved as a component header.
 INITIAL_ALLOC_PTR = 16
 
+#: The one all-zero page every image restores its never-written pages
+#: from.  Read-only: it is only ever the source of a copy.
+_ZERO_PAGE = array("I", bytes(4 * PAGE_WORDS))
+
 
 class MemoryImage:
     """A component's private, bounds-checked flat memory.
@@ -59,17 +73,17 @@ class MemoryImage:
         self.base = base & WORD_MASK
         self.size = size
         self.words: array = array("I", bytes(4 * size))
-        # Per-word taint bits plus an O(1) census: the fast-path
-        # interpreter is only eligible while the image is taint-free.
-        self._taint: bytearray = bytearray(size)
-        self._taint_count = 0
+        #: Indices of tainted words: the fast-path interpreter is only
+        #: eligible while this set is empty.
+        self._taint: Set[int] = set()
         #: Coarse dirty-page bitmap: one byte per PAGE_WORDS-word page,
         #: set by every write.  Taint is only ever introduced through a
         #: write, so tainted words always lie on dirty pages — restoring
         #: the dirty pages provably clears all taint.
         self._dirty: bytearray = bytearray((size + PAGE_WORDS - 1) >> PAGE_SHIFT)
         self._alloc_ptr = INITIAL_ALLOC_PTR  # low words reserved (header)
-        self._good_words: Optional[array] = None
+        #: The good image's non-zero pages; ``None`` until frozen.
+        self._good_pages: Optional[Dict[int, array]] = None
         self._good_alloc_ptr: Optional[int] = None
         self._free_lists: Dict[int, List[int]] = {}
 
@@ -99,23 +113,18 @@ class MemoryImage:
         index = addr - self.base
         self.words[index] = value & WORD_MASK
         self._dirty[index >> PAGE_SHIFT] = 1
-        taint = self._taint
         if tainted:
-            if not taint[index]:
-                taint[index] = 1
-                self._taint_count += 1
-        elif taint[index]:
-            taint[index] = 0
-            self._taint_count -= 1
+            self._taint.add(index)
+        elif self._taint:
+            self._taint.discard(index)
 
     def is_tainted(self, addr: int) -> bool:
-        index = addr - self.base
-        return 0 <= index < self.size and self._taint[index] != 0
+        return addr - self.base in self._taint
 
     @property
     def taint_count(self) -> int:
         """Number of tainted words (0 means the fast path is eligible)."""
-        return self._taint_count
+        return len(self._taint)
 
     # -- allocation ----------------------------------------------------------
     def alloc(self, nwords: int) -> int:
@@ -133,16 +142,17 @@ class MemoryImage:
         """Zero a freed block and recycle it onto the size's free list.
 
         Zeroing goes through slice assignment (not a per-word
-        ``write_word`` loop): one memset-style store for the words, one
-        for the taint bits, keeping the taint census exact.
+        ``write_word`` loop): one memset-style store for the words; the
+        block's words also leave the taint set.
         """
         start = addr - self.base
         end = start + nwords
         self.words[start:end] = array("I", bytes(4 * nwords))
-        tainted = self._taint.count(1, start, end)
-        if tainted:
-            self._taint[start:end] = bytes(nwords)
-            self._taint_count -= tainted
+        taint = self._taint
+        if taint:
+            taint.difference_update(
+                [index for index in taint if start <= index < end]
+            )
         for page in range(start >> PAGE_SHIFT, ((end - 1) >> PAGE_SHIFT) + 1):
             self._dirty[page] = 1
         self._free_lists.setdefault(nwords, []).append(addr)
@@ -166,7 +176,7 @@ class MemoryImage:
     def is_pristine(self) -> bool:
         """True when no word was written (or tainted) since the last
         freeze/restore — i.e. a restore would be a no-op memcpy."""
-        return self._taint_count == 0 and 1 not in self._dirty
+        return not self._taint and 1 not in self._dirty
 
     def dirty_page_indices(self) -> List[int]:
         """Page numbers written since the last freeze/restore, ascending.
@@ -185,44 +195,54 @@ class MemoryImage:
         actually changed.  Empty when no good image is frozen yet, or
         when every write to the page restored the boot-time value.
         """
-        if self._good_words is None:
+        if self._good_pages is None:
             return []
         lo = page << PAGE_SHIFT
         hi = min(lo + PAGE_WORDS, self.size)
         words = self.words
-        good = self._good_words
-        return [i for i in range(lo, hi) if words[i] != good[i]]
+        good = self._good_pages.get(page, _ZERO_PAGE)
+        return [i for i in range(lo, hi) if words[i] != good[i - lo]]
 
     def _copy_back_dirty_pages(self) -> int:
         """Copy dirty pages back from the good image; returns the count.
 
-        Taint is cleared alongside: tainted words can only exist on dirty
-        pages (taint is introduced exclusively through writes), so
-        zeroing the taint slice of each restored page clears all of it.
+        A page the good image does not hold is all zero and copies back
+        from the shared zero page.  The whole taint set is cleared
+        alongside, including a word that was frozen into the good image
+        while tainted and so sits on a clean page.
         """
-        if self._good_words is None:
+        good = self._good_pages
+        if good is None:
             raise ReproError("no good image frozen; cannot restore")
-        dirty = self._dirty
         words = self.words
-        good = self._good_words
-        taint = self._taint
-        size = self.size
-        restored = 0
-        for page in range(len(dirty)):
-            if dirty[page]:
-                lo = page << PAGE_SHIFT
-                hi = min(lo + PAGE_WORDS, size)
-                words[lo:hi] = good[lo:hi]
-                taint[lo:hi] = bytes(hi - lo)
-                dirty[page] = 0
-                restored += 1
-        self._taint_count = 0
-        return restored
+        pages = self.dirty_page_indices()
+        for page in pages:
+            lo = page << PAGE_SHIFT
+            hi = min(lo + PAGE_WORDS, self.size)
+            words[lo:hi] = good.get(page) or _ZERO_PAGE[:hi - lo]
+        self._dirty[:] = bytes(len(self._dirty))
+        self._taint.clear()
+        return len(pages)
 
     # -- micro-reboot support -------------------------------------------------
     def freeze_good_image(self) -> None:
-        """Snapshot the post-initialisation state as the reboot image."""
-        self._good_words = self.words[:]
+        """Snapshot the post-initialisation state as the reboot image.
+
+        Only pages written since the last freeze or restore can differ
+        from the current good image (before the first freeze: from
+        zero), so only those are rescanned.  Each one is kept as a copy
+        when non-zero and dropped when it reads as the zero page.
+        """
+        good = self._good_pages
+        if good is None:
+            good = self._good_pages = {}
+        for page in self.dirty_page_indices():
+            lo = page << PAGE_SHIFT
+            copy = self.words[lo:min(lo + PAGE_WORDS, self.size)]
+            if copy == _ZERO_PAGE[:len(copy)]:
+                good.pop(page, None)
+            else:
+                good[page] = copy
         self._good_alloc_ptr = self._alloc_ptr
         # The image now *is* the good image: every page is clean, so the
         # next restore copies only what gets written from here on.

@@ -22,13 +22,15 @@ Two histogram shapes share that merge discipline:
 
 Both serialize to the same dict shape (the log-linear form adds a
 ``sub_bits`` field) and merge with plain per-bucket integer adds, so
-merging stays order-independent across either shape.
+merging stays order-independent across either shape;
+:func:`histogram_quantile` reads a quantile back from either.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from typing import Dict
+from typing import Dict, Optional
 
 #: Linear sub-buckets per power-of-two decade in
 #: :class:`LogLinearHistogram`, as a bit count: 2**5 = 32 sub-buckets,
@@ -146,6 +148,36 @@ def bucket_bounds(index: int, sub_bits: int) -> tuple:
     shift = block - 1
     lower = ((1 << sub_bits) + mantissa) << shift
     return lower, lower + (1 << shift) - 1
+
+
+def histogram_quantile(h: Dict[str, object], q: float) -> Optional[int]:
+    """Quantile of a serialized bucketed histogram.
+
+    Handles both shapes: power-of-two buckets (no ``sub_bits`` key) and
+    log-linear sub-bucketed ones (``sub_bits`` present, bucket bounds
+    via :func:`bucket_bounds`).  Returns the inclusive upper bound of
+    the bucket holding the nearest-rank sample (clamped to the observed
+    max), so merged campaign percentiles are order-independent: every
+    run's samples land in the same buckets no matter which worker
+    observed them.
+    """
+    count = h.get("count", 0)
+    if not count:
+        return None
+    sub_bits = h.get("sub_bits")
+    rank = max(1, math.ceil(q * count))
+    seen = 0
+    for bucket in sorted(h["buckets"], key=int):
+        seen += h["buckets"][bucket]
+        if seen >= rank:
+            b = int(bucket)
+            if sub_bits is not None:
+                upper = bucket_bounds(b, sub_bits)[1]
+            else:
+                upper = 0 if b == 0 else (1 << b) - 1
+            observed_max = h.get("max")
+            return upper if observed_max is None else min(upper, observed_max)
+    return h.get("max")
 
 
 class MetricsRegistry:

@@ -21,10 +21,8 @@ Table II campaign.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.observe import export as trace_export
@@ -59,6 +57,8 @@ def worker_start_method() -> str:
     choice = os.environ.get("REPRO_WORKER_START", "auto")
     if choice == "spawn":
         return "spawn"
+    import multiprocessing
+
     return (
         "fork"
         if "fork" in multiprocessing.get_all_start_methods()
@@ -136,9 +136,12 @@ def fan_out_chunks(
     callers can bill that one-time setup apart from run execution.  It
     is zero under ``spawn``, where each worker runs the initializer
     inside the pool and its cost lands in the chunks' wall time.
+
+    ``multiprocessing`` and :mod:`concurrent.futures` are imported only
+    once a campaign really fans out: a serial run never loads them.
     """
     serial = workers <= 1 or len(pending) <= 1
-    method = worker_start_method()
+    method = None if serial else worker_start_method()
     init_wall = 0.0
     if initializer is not None and (serial or method == "fork"):
         init_start = time.perf_counter()
@@ -149,6 +152,9 @@ def fan_out_chunks(
         for seed in pending:
             on_batch(execute([seed]))
         return init_wall
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     chunks = chunk_seeds(pending, workers)
     with ProcessPoolExecutor(
         max_workers=workers,

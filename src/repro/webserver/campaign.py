@@ -35,8 +35,8 @@ from repro.observe import export as trace_export
 from repro.observe import tracing_enabled
 from repro.observe.metrics import (
     MetricsRegistry,
-    bucket_bounds,
     canonical_metrics,
+    histogram_quantile,
     merge_metrics,
 )
 from repro.swifi.injector import FAULT_CLASSES
@@ -181,36 +181,6 @@ def _nearest_rank(sorted_values: Sequence[int], q: float) -> Optional[int]:
         return None
     rank = max(1, math.ceil(q * len(sorted_values)))
     return sorted_values[rank - 1]
-
-
-def histogram_quantile(h: Dict[str, object], q: float) -> Optional[int]:
-    """Quantile of a serialized bucketed histogram.
-
-    Handles both shapes: power-of-two buckets (no ``sub_bits`` key) and
-    log-linear sub-bucketed ones (``sub_bits`` present, bucket bounds
-    via :func:`repro.observe.metrics.bucket_bounds`).  Returns the
-    inclusive upper bound of the bucket holding the nearest-rank sample
-    (clamped to the observed max), so merged campaign percentiles are
-    order-independent: every run's samples land in the same buckets no
-    matter which worker observed them.
-    """
-    count = h.get("count", 0)
-    if not count:
-        return None
-    sub_bits = h.get("sub_bits")
-    rank = max(1, math.ceil(q * count))
-    seen = 0
-    for bucket in sorted(h["buckets"], key=int):
-        seen += h["buckets"][bucket]
-        if seen >= rank:
-            b = int(bucket)
-            if sub_bits is not None:
-                upper = bucket_bounds(b, sub_bits)[1]
-            else:
-                upper = 0 if b == 0 else (1 << b) - 1
-            observed_max = h.get("max")
-            return upper if observed_max is None else min(upper, observed_max)
-    return h.get("max")
 
 
 def _run_outcome(result: LoadResult) -> str:

@@ -2,7 +2,10 @@
 
 import json
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 import time
 
 import pytest
@@ -146,7 +149,7 @@ class TestZeroCopyWorkers:
     def test_fork_unavailable_falls_back_to_spawn(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKER_START", "fork")
         monkeypatch.setattr(
-            parallel.multiprocessing,
+            multiprocessing,
             "get_all_start_methods",
             lambda: ["spawn"],
         )
@@ -165,6 +168,29 @@ class TestZeroCopyWorkers:
         )
         assert calls == [("spec", False)]
         assert batches == [[1], [2], [3]]
+
+    def test_serial_path_never_imports_process_pool(self):
+        # The process-pool modules cost a serial campaign memory and
+        # import time for nothing: only a real fan-out may load them.
+        script = (
+            "import sys\n"
+            "import repro.swifi.campaign, repro.webserver.campaign\n"
+            "import repro.cluster.campaign\n"
+            "from repro.swifi.parallel import fan_out_chunks\n"
+            "out = []\n"
+            "fan_out_chunks(list, [1, 2], 1, on_batch=out.append)\n"
+            "assert out == [[1], [2]], out\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures')"
+            " if m in sys.modules))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("start", ["fork", "spawn"])
     def test_parallel_identical_to_serial(self, monkeypatch, start):

@@ -6,13 +6,16 @@ import pytest
 
 from repro.__main__ import main
 from repro.observe.export import read_trace
-from repro.observe.metrics import SUB_BUCKET_BITS, LogLinearHistogram
+from repro.observe.metrics import (
+    SUB_BUCKET_BITS,
+    LogLinearHistogram,
+    histogram_quantile,
+)
 from repro.webserver.campaign import (
     WebRunSpec,
     aggregate_rows,
     execute_web_run,
     format_web_campaign,
-    histogram_quantile,
     run_webserver_campaign,
     web_run_seeds,
 )
