@@ -23,13 +23,80 @@ Commands:
   nodes at a seed-drawn instant; the supervisor/scheduler layer fails
   units over, evicts unhealthy nodes, and whole-node-reboots them
 * ``compile <service|path.idl>`` — show compiler output for one interface
+
+A campaign run that raises something its outcome classification does not
+cover is a harness bug: the campaign commands then name the spec
+fingerprint and run seed, print a one-process repro command, and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import shlex
 import sys
+
+from repro.errors import HarnessError
+
+
+def _open_artifacts(args) -> bool:
+    """Check ``--json``/``--trace`` are writable before a campaign runs.
+
+    Failing after the campaign would waste it: a paper-scale run is
+    minutes of work.  The trace exporter appends one section per
+    campaign, so the trace artifact is also emptied here.
+    """
+    for flag, path, mode in (
+        ("--json", args.json, "a"),
+        ("--trace", args.trace, "w"),
+    ):
+        if not path:
+            continue
+        try:
+            with open(path, mode, encoding="utf-8"):
+                pass
+        except OSError as exc:
+            print(f"cannot write {flag} {path}: {exc}", file=sys.stderr)
+            return False
+    return True
+
+
+def _report_campaign(
+    args, setup_wall: float, exec_wall: float, runs: int, write_json
+) -> None:
+    """Print the wall-clock split, then write and announce the artifacts.
+
+    The wall clock goes to stderr: stdout stays deterministic (journal
+    replays must reproduce it byte-for-byte), while wall clock is
+    host-dependent diagnostics.
+    """
+    if exec_wall > 0:
+        print(
+            f"wall clock: setup {setup_wall:.2f}s + exec {exec_wall:.2f}s "
+            f"({runs / exec_wall:.1f} runs/s)",
+            file=sys.stderr,
+        )
+    if args.json:
+        write_json(args.json)
+        print(f"wrote {args.json} (+ .timing.json sidecar)")
+    if args.trace:
+        print(
+            f"wrote {args.trace} "
+            f"(render with: python -m repro trace {args.trace})"
+        )
+
+
+def _serial_repro(argv) -> str:
+    """The command line ``argv`` re-run in one process (``--workers 1``)."""
+    kept, skip = [], False
+    for arg in argv:
+        if skip:
+            skip = False
+        elif arg == "--workers":
+            skip = True
+        elif not arg.startswith("--workers="):
+            kept.append(arg)
+    return "python -m repro " + shlex.join(kept + ["--workers", "1"])
 
 
 def _cmd_table2(args) -> int:
@@ -39,24 +106,8 @@ def _cmd_table2(args) -> int:
         write_table2_json,
     )
 
-    if args.json:
-        # Fail on an unwritable artifact path before the campaign runs,
-        # not after: a paper-scale run is minutes of work.
-        try:
-            with open(args.json, "a", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"cannot write --json {args.json}: {exc}", file=sys.stderr)
-            return 1
-    if args.trace:
-        # The exporter appends one section per service campaign, so the
-        # artifact must start empty (and be writable) up front.
-        try:
-            with open(args.trace, "w", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"cannot write --trace {args.trace}: {exc}", file=sys.stderr)
-            return 1
+    if not _open_artifacts(args):
+        return 1
     print(
         f"SWIFI campaign: {args.faults} {args.fault_class} faults per "
         f"service ({args.mode} stubs, {args.workers} worker(s))"
@@ -71,26 +122,13 @@ def _cmd_table2(args) -> int:
         fault_class=args.fault_class,
     )
     print(format_table2(results))
-    setup_wall = sum(r.setup_wall for r in results)
-    exec_wall = sum(r.exec_wall for r in results)
-    total_runs = sum(r.injected for r in results)
-    if exec_wall > 0:
-        # stderr: the table on stdout stays deterministic (journal
-        # replays must reproduce it byte-for-byte); wall clock is
-        # host-dependent diagnostics.
-        print(
-            f"wall clock: setup {setup_wall:.2f}s + exec {exec_wall:.2f}s "
-            f"({total_runs / exec_wall:.0f} runs/s)",
-            file=sys.stderr,
-        )
-    if args.json:
-        write_table2_json(results, args.json)
-        print(f"wrote {args.json} (+ .timing.json sidecar)")
-    if args.trace:
-        print(
-            f"wrote {args.trace} "
-            f"(render with: python -m repro trace {args.trace})"
-        )
+    _report_campaign(
+        args,
+        sum(r.setup_wall for r in results),
+        sum(r.exec_wall for r in results),
+        sum(r.injected for r in results),
+        lambda path: write_table2_json(results, path),
+    )
     return 0
 
 
@@ -265,22 +303,8 @@ def _cmd_fig7_campaign(args) -> int:
         web_run_seeds,
     )
 
-    if args.json:
-        # Fail on an unwritable artifact path before running the campaign.
-        try:
-            with open(args.json, "a", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"cannot write --json {args.json}: {exc}", file=sys.stderr)
-            return 1
-    if args.trace:
-        # The exporter appends; the artifact must start empty.
-        try:
-            with open(args.trace, "w", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"cannot write --trace {args.trace}: {exc}", file=sys.stderr)
-            return 1
+    if not _open_artifacts(args):
+        return 1
     try:
         spec = WebRunSpec(
             ft_mode=args.mode,
@@ -316,22 +340,10 @@ def _cmd_fig7_campaign(args) -> int:
         trace=args.trace,
     )
     print(format_web_campaign(result))
-    if result.exec_wall > 0:
-        # stderr: stdout stays deterministic across hosts and reruns.
-        print(
-            f"wall clock: setup {result.setup_wall:.2f}s + "
-            f"exec {result.exec_wall:.2f}s "
-            f"({len(result.rows) / result.exec_wall:.1f} runs/s)",
-            file=sys.stderr,
-        )
-    if args.json:
-        result.write_json(args.json)
-        print(f"wrote {args.json} (+ .timing.json sidecar)")
-    if args.trace:
-        print(
-            f"wrote {args.trace} "
-            f"(render with: python -m repro trace {args.trace})"
-        )
+    _report_campaign(
+        args, result.setup_wall, result.exec_wall, len(result.rows),
+        result.write_json,
+    )
     return 0
 
 
@@ -343,22 +355,8 @@ def _cmd_cluster(args) -> int:
         run_cluster_campaign,
     )
 
-    if args.json:
-        # Fail on an unwritable artifact path before running the campaign.
-        try:
-            with open(args.json, "a", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"cannot write --json {args.json}: {exc}", file=sys.stderr)
-            return 1
-    if args.trace:
-        # The exporter appends; the artifact must start empty.
-        try:
-            with open(args.trace, "w", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"cannot write --trace {args.trace}: {exc}", file=sys.stderr)
-            return 1
+    if not _open_artifacts(args):
+        return 1
     try:
         spec = calibrate_cluster_spec(
             service=args.service,
@@ -387,22 +385,10 @@ def _cmd_cluster(args) -> int:
         trace=args.trace,
     )
     print(format_cluster_campaign(result))
-    if result.exec_wall > 0:
-        # stderr: stdout stays deterministic across hosts and reruns.
-        print(
-            f"wall clock: setup {result.setup_wall:.2f}s + "
-            f"exec {result.exec_wall:.2f}s "
-            f"({len(result.rows) / result.exec_wall:.1f} scenarios/s)",
-            file=sys.stderr,
-        )
-    if args.json:
-        result.write_json(args.json)
-        print(f"wrote {args.json} (+ .timing.json sidecar)")
-    if args.trace:
-        print(
-            f"wrote {args.trace} "
-            f"(render with: python -m repro trace {args.trace})"
-        )
+    _report_campaign(
+        args, result.setup_wall, result.exec_wall, len(result.rows),
+        result.write_json,
+    )
     return 0
 
 
@@ -651,7 +637,20 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_compile)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except HarnessError as exc:
+        print(
+            f"harness error: run seed {exc.run_seed} of {exc.fingerprint} "
+            f"raised {exc.detail}",
+            file=sys.stderr,
+        )
+        print(
+            "reproduce in one process with: "
+            + _serial_repro(sys.argv[1:] if argv is None else argv),
+            file=sys.stderr,
+        )
+        return 2
 
 
 if __name__ == "__main__":

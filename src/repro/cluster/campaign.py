@@ -13,10 +13,12 @@ Scenarios follow the repository's campaign discipline exactly:
 * a scenario's row is a pure function of ``(ClusterSpec,
   scenario_seed)`` — rows derive only from virtual-time outcomes,
   never from engine counters that warm caches shift;
-* scenario seeds fan out over
-  :func:`repro.swifi.parallel.fan_out_chunks`'s process pool and rows
-  merge in seed order, so the JSON artifact is byte-identical serial
-  vs parallel, pooled vs fresh; and
+* :class:`ClusterSpec` implements the ``warm``/``execute`` protocol of
+  the campaign core in :mod:`repro.swifi.parallel` (shared with the
+  SWIFI and Fig. 7 campaigns): each process warms one reusable cell,
+  scenario seeds fan out over the core's process pool and rows merge in
+  seed order, so the JSON artifact is byte-identical serial vs
+  parallel, pooled vs fresh; and
 * ``--trace`` records node-level events (kills, failovers, evictions,
   whole-node reboots, rejoins) on a per-cell flight recorder stamped
   with the cell's virtual clock, exported parent-side in seed order.
@@ -24,18 +26,18 @@ Scenarios follow the repository's campaign discipline exactly:
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.cluster.cell import Cell
-from repro.observe import export as trace_export
 from repro.observe.metrics import canonical_metrics, merge_metrics
-from repro.swifi.campaign import CampaignRunner, RunSpec
+from repro.swifi.campaign import CampaignRunner, RunSpec, _pool_active
 from repro.swifi.injector import FAULT_CLASSES
-from repro.swifi.parallel import default_workers, fan_out_chunks
-from repro.system import GLOBAL_POOL, compile_all_interfaces, pooling_enabled
+from repro.swifi.parallel import (
+    CampaignOutput,
+    campaign_seeds,
+    execute_campaign,
+)
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,30 @@ class ClusterSpec:
             f"/e{self.evict_threshold}/c{self.cooldown}"
         )
 
+    def warm(self, trace: bool) -> Cell:
+        """Build this process's reusable cell and warm its node pools.
 
-def cluster_run_seeds(seed: int, n_scenarios: int) -> List[int]:
-    """The deterministic scenario-seed schedule (campaign stride)."""
-    return [seed * 1_000_003 + i for i in range(n_scenarios)]
+        Every node's system is a *per-process* pool entry
+        (instance-keyed), so worker cells never share mutable state.
+        Node-level tracing records on the cell's own flight recorder and
+        leaves the pool in use; only global tracing (``REPRO_TRACE``) or
+        pooling off makes units build fresh, and then nothing is warmed.
+        """
+        cell = Cell(self, trace=trace)
+        if _pool_active():
+            for node in cell.nodes:
+                node.acquire_system()
+        return cell
+
+    def execute(self, scenario_seed: int, cell: Cell, trace: bool):
+        """One scenario's ``(row, record | None)`` on the warmed cell."""
+        if trace:
+            return execute_scenario_traced(self, scenario_seed, cell=cell)
+        return execute_scenario(self, scenario_seed, cell=cell), None
+
+
+#: The scenario-seed schedule: the same stride as every campaign.
+cluster_run_seeds = campaign_seeds
 
 
 def calibrate_cluster_spec(
@@ -189,96 +211,12 @@ def execute_scenario_traced(
     return row, record
 
 
-#: Worker-side campaign state (see ``repro.swifi.parallel``): set once
-#: per process by the initializer so chunks carry only seed lists.
-_CLUSTER_SPEC: Optional[ClusterSpec] = None
-_CLUSTER_TRACE: bool = False
-_CLUSTER_CELL: Optional[Cell] = None
-
-
-def _init_cluster_worker(spec: ClusterSpec, trace: bool = False) -> None:
-    """Campaign initializer: compile, build the cell, warm node pools.
-
-    Under the fork start method this runs in the parent: workers
-    inherit the compiled interfaces and every node's sealed pooled
-    system copy-on-write.  Node systems are *per-process* pool entries
-    (instance-keyed), so worker cells never share mutable state.
-    """
-    global _CLUSTER_SPEC, _CLUSTER_TRACE, _CLUSTER_CELL
-    _CLUSTER_SPEC = spec
-    _CLUSTER_TRACE = trace
-    if spec.ft_mode == "superglue":
-        compile_all_interfaces()
-    _CLUSTER_CELL = Cell(spec, trace=trace)
-    if pooling_enabled():
-        for node in _CLUSTER_CELL.nodes:
-            node.acquire_system()
-
-
-def _execute_cluster_chunk(seeds: List[int]):
-    """Worker entry point: one chunk of scenarios -> (seed, row, record|None)."""
-    spec, trace, cell = _CLUSTER_SPEC, _CLUSTER_TRACE, _CLUSTER_CELL
-    results: List[Tuple[int, Dict[str, object], Optional[dict]]] = []
-    for seed in seeds:
-        if trace:
-            row, record = execute_scenario_traced(spec, seed, cell=cell)
-        else:
-            row, record = execute_scenario(spec, seed, cell=cell), None
-        results.append((seed, row, record))
-    return results
-
-
 # ---------------------------------------------------------------------------
 # Campaign aggregation (parent side)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ClusterCampaignResult:
-    """A finished cluster campaign: per-scenario rows plus the aggregate."""
-
-    spec: ClusterSpec
-    seeds: List[int]
-    rows: List[Dict[str, object]]
-    aggregate: Dict[str, object]
-    #: Wall-clock split (sidecar-only: the artifact stays deterministic).
-    setup_wall: float = 0.0
-    exec_wall: float = 0.0
-
-    def to_json_dict(self) -> Dict[str, object]:
-        """The deterministic campaign artifact (no wall-clock anywhere)."""
-        return {
-            "fingerprint": self.spec.fingerprint(),
-            "spec": {
-                "service": self.spec.service,
-                "ft_mode": self.spec.ft_mode,
-                "n_nodes": self.spec.n_nodes,
-                "n_kill": self.spec.n_kill,
-                "units": self.spec.units,
-                "iterations": self.spec.iterations,
-                "horizon": self.spec.horizon,
-                "recovery_mode": self.spec.recovery_mode,
-                "fault_class": self.spec.fault_class,
-                "evict_threshold": self.spec.evict_threshold,
-                "cooldown": self.spec.cooldown,
-            },
-            "seeds": list(self.seeds),
-            "rows": self.rows,
-            "aggregate": self.aggregate,
-        }
-
-    def write_json(self, path: str) -> None:
-        """Write the artifact plus a ``.timing.json`` wall-clock sidecar."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2)
-            handle.write("\n")
-        timing: Dict[str, object] = {
-            "scenarios": len(self.rows),
-            "setup_wall": self.setup_wall,
-            "exec_wall": self.exec_wall,
-        }
-        with open(path + ".timing.json", "w", encoding="utf-8") as handle:
-            json.dump(timing, handle, indent=2)
-            handle.write("\n")
+#: A finished cluster campaign: per-scenario rows plus the aggregate.
+ClusterCampaignResult = CampaignOutput
 
 
 def aggregate_cluster_rows(
@@ -327,72 +265,11 @@ def run_cluster_campaign(
     is byte-identical across worker counts — and, because rows derive
     from virtual-time outcomes only, across pooling modes.
     """
-    if workers is None:
-        workers = default_workers()
-    seeds = list(seeds)
-    tracing = trace is not None
-    setup_start = time.perf_counter()
-    rows_by_seed: Dict[int, Dict[str, object]] = {}
-    records: Dict[int, dict] = {}
-
-    def note(batch) -> None:
-        for scenario_seed, row, record in batch:
-            rows_by_seed[scenario_seed] = row
-            if record is not None:
-                records[scenario_seed] = record
-            if progress is not None:
-                progress(len(rows_by_seed), len(seeds), row)
-
-    exec_start = time.perf_counter()
-    init_wall = fan_out_chunks(
-        _execute_cluster_chunk,
-        seeds,
-        workers,
-        initializer=_init_cluster_worker,
-        initargs=(spec, tracing),
-        on_batch=note,
+    result = execute_campaign(
+        spec, seeds, workers, progress=progress, trace=trace
     )
-    exec_end = time.perf_counter()
-    rows = [rows_by_seed[seed] for seed in seeds]
-    if tracing:
-        _export_cluster_trace(trace, spec, seeds, rows, records)
-    return ClusterCampaignResult(
-        spec=spec,
-        seeds=seeds,
-        rows=rows,
-        aggregate=aggregate_cluster_rows(rows),
-        setup_wall=exec_start - setup_start + init_wall,
-        exec_wall=exec_end - exec_start - init_wall,
-    )
-
-
-def _export_cluster_trace(
-    path: str,
-    spec: ClusterSpec,
-    seeds: Sequence[int],
-    rows: Sequence[Dict[str, object]],
-    records: Dict[int, dict],
-) -> None:
-    """Parent-side trace export in seed order (serial == parallel)."""
-    merged_metrics: Dict[str, object] = {}
-    with open(path, "a", encoding="utf-8") as handle:
-        for seed in seeds:
-            record = records.get(seed)
-            if record is None:
-                continue
-            trace_export.write_run(handle, record)
-            merge_metrics(merged_metrics, record["metrics"])
-        tally: Dict[str, int] = {}
-        for row in rows:
-            tally[row["outcome"]] = tally.get(row["outcome"], 0) + 1
-        trace_export.write_summary(
-            handle,
-            fingerprint=spec.fingerprint(),
-            runs=len(seeds),
-            replayed=0,
-            outcomes=tally,
-            metrics=canonical_metrics(merged_metrics),
-        )
+    result.aggregate = aggregate_cluster_rows(result.rows)
+    return result
 
 
 def format_cluster_campaign(result: ClusterCampaignResult) -> str:

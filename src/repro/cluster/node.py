@@ -24,9 +24,9 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.observe.metrics import MetricsRegistry
-from repro.swifi.campaign import RunSpec, _drive_run
+from repro.swifi.campaign import RunSpec, _campaign_system, _drive_run
 from repro.swifi.classify import Outcome
-from repro.system import GLOBAL_POOL, System, build_system, pooling_enabled
+from repro.system import GLOBAL_POOL, System, pooling_enabled
 
 #: Outcomes the supervisor counts as node-degrading crashes.
 FATAL_OUTCOMES = frozenset(
@@ -59,21 +59,17 @@ class Node:
     def acquire_system(self) -> System:
         """This node's System, restored to its sealed post-boot state.
 
-        Pooled by default — the pool key carries ``instance=(cluster,
-        node_id)`` so every node holds its own snapshot — with the same
-        fresh-build fallback (``REPRO_SYSTEM_POOL=0``) the flat
-        campaigns use.  ``REPRO_POOL_DEBUG=1`` therefore verifies every
-        node restore against a fresh build, which is what the
-        whole-node-reboot differential test leans on.
+        The flat campaigns' system, keyed by :func:`node_pool_instance`
+        so every node holds its own pool snapshot, with the same
+        fresh-build fallback (``REPRO_SYSTEM_POOL=0``, tracing).
+        ``REPRO_POOL_DEBUG=1`` therefore verifies every node restore
+        against a fresh build, which is what the whole-node-reboot
+        differential test leans on.
         """
-        if pooling_enabled():
-            return GLOBAL_POOL.acquire(
-                ft_mode=self.ft_mode,
-                recovery_mode=self.recovery_mode,
-                instance=("cluster", self.node_id),
-            )
-        return build_system(
-            ft_mode=self.ft_mode, recovery_mode=self.recovery_mode
+        return _campaign_system(
+            self.ft_mode,
+            self.recovery_mode,
+            instance=node_pool_instance(self.node_id),
         )
 
     # ------------------------------------------------------------------
@@ -86,19 +82,14 @@ class Node:
         the end of the run) — the cell clock advances by it, keeping
         cluster timelines wall-clock-free and therefore deterministic.
 
-        Pooled units go through ``_drive_run``'s ``instance`` path, so
-        each run acquires this node's private snapshot.  With pooling
-        off each unit builds fresh — same outcomes, since a restored
-        system is indistinguishable from a fresh build.
+        Units go through ``_drive_run``'s ``instance`` path, so each
+        run acquires this node's private snapshot — or, with pooling
+        off, builds fresh: same outcomes, since a restored system is
+        indistinguishable from a fresh build.
         """
-        if pooling_enabled():
-            outcome, system, __, steps, __ = _drive_run(
-                spec, unit_seed, instance=node_pool_instance(self.node_id)
-            )
-        else:
-            outcome, system, __, steps, __ = _drive_run(
-                spec, unit_seed, system=self.acquire_system()
-            )
+        outcome, system, __, steps, __ = _drive_run(
+            spec, unit_seed, instance=node_pool_instance(self.node_id)
+        )
         self.units_run += 1
         self._fold_health(system, outcome)
         return outcome, steps, system.kernel.clock.now
@@ -143,7 +134,7 @@ class Node:
             snapshot = GLOBAL_POOL.snapshot_for(
                 ft_mode=self.ft_mode,
                 recovery_mode=self.recovery_mode,
-                instance=("cluster", self.node_id),
+                instance=node_pool_instance(self.node_id),
             )
             if snapshot is not None:
                 snapshot.restore()
@@ -165,6 +156,6 @@ class Node:
         )
 
 
-#: The pool ``instance`` key of a node's private snapshot.
 def node_pool_instance(node_id: int) -> Optional[tuple]:
+    """The pool ``instance`` key of a node's private snapshot."""
     return ("cluster", node_id)

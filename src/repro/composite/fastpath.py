@@ -34,6 +34,7 @@ by ``REPRO_TRACE_CACHE`` (see :mod:`repro.composite.services.common`).
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from typing import Optional
 
 from repro.composite.machine import (
@@ -106,6 +107,26 @@ class FastProgram:
 #: tier-1 trace cache.
 _PROGRAM_CACHE: dict = {}
 _PROGRAM_CACHE_CAPACITY = 4096
+
+
+@contextmanager
+def private_program_cache():
+    """Run a block against an empty compiled-program memo of its own.
+
+    Which traces take the compiled path depends on what the memo already
+    holds, and a flight-recorded run exports exactly that (its
+    ``fastpath_compile`` events, ``fast`` flags and fast-run counters).
+    A traced run must be a pure function of its spec and seed, not of
+    the runs this process executed before it, so it starts cold and
+    leaves the shared memo as it found it.
+    """
+    global _PROGRAM_CACHE
+    shared = _PROGRAM_CACHE
+    _PROGRAM_CACHE = {}
+    try:
+        yield
+    finally:
+        _PROGRAM_CACHE = shared
 
 
 def _make_fault_helpers(component_name: str) -> dict:

@@ -1,6 +1,6 @@
 """Exception hierarchy for the SuperGlue reproduction.
 
-Three families of exceptions exist:
+Four families of exceptions exist:
 
 * Simulation-level errors (:class:`ReproError` subclasses that indicate a bug
   or misuse of the library itself).
@@ -11,6 +11,9 @@ Three families of exceptions exist:
 * Control-flow signals (:class:`BlockThread`), which are not errors at all but
   use the exception machinery to unwind a synchronous invocation when a
   thread must block inside a server component.
+* Harness errors (:class:`HarnessError`): a campaign run raised something
+  its outcome classification does not cover — a bug in the harness, never
+  a run outcome.
 """
 
 from __future__ import annotations
@@ -51,6 +54,29 @@ class CompileError(ReproError):
 
 class RecoveryError(ReproError):
     """Interface-driven recovery could not restore a consistent state."""
+
+
+class HarnessError(Exception):
+    """A campaign run raised an exception that is not a run outcome.
+
+    Deliberately *not* a :class:`ReproError`: the campaign driver
+    classifies those as not-recovered outcomes, and a harness bug must
+    never be counted as one.  It names the campaign's spec fingerprint and
+    the run seed, so the failing run can be replayed in one process.  The
+    original exception travels as ``detail`` text: it may not pickle, and
+    this error crosses process-pool boundaries.
+    """
+
+    def __init__(self, fingerprint: str, run_seed: int, detail: str):
+        super().__init__(fingerprint, run_seed, detail)
+        self.fingerprint = fingerprint
+        self.run_seed = run_seed
+        self.detail = detail
+
+    def __str__(self) -> str:
+        return (
+            f"run {self.run_seed} of {self.fingerprint} raised {self.detail}"
+        )
 
 
 # ---------------------------------------------------------------------------

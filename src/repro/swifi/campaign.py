@@ -15,22 +15,24 @@ Every run is self-deterministic: its injection point is derived from the
 run seed alone (``random.Random(run_seed).randrange(horizon)``), so a
 run's outcome is a pure function of ``(service, ft_mode, iterations,
 horizon, recovery_mode, run_seed)``.  That makes runs order-independent
-and lets :mod:`repro.swifi.parallel` fan a campaign out across a process
-pool — or resume an interrupted one — with bit-identical aggregates.
+and lets the campaign core in :mod:`repro.swifi.parallel` fan a campaign
+out across a process pool — or resume an interrupted one — with
+bit-identical aggregates.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.composite.fastpath import private_program_cache
 from repro.errors import ReproError, SimulatedFault, SystemHang
 from repro.observe import tracing_enabled
 from repro.swifi.classify import Outcome, OutcomeCounter
 from repro.swifi.injector import FAULT_CLASSES, SwifiController
+from repro.swifi.parallel import campaign_seeds, run_campaign, write_artifact
 from repro.system import GLOBAL_POOL, build_system, pooling_enabled
 from repro.workloads import workload_for
 
@@ -55,6 +57,14 @@ COVERAGE_KEYS = (
 )
 
 
+#: Whole-run kernel counters a traced run folds into its per-run metrics.
+TRACED_KERNEL_STATS = (
+    "invocations", "upcalls", "faults_vectored", "micro_reboots",
+    "steps", "interp_fast_runs", "interp_slow_runs",
+    "trace_cache_hits", "trace_cache_misses", "budget_exhausted",
+)
+
+
 def coverage_ratio(coverage: Dict[str, int]) -> float:
     """Replayed share of the units in ``coverage`` (0.0: nothing replays)."""
     replayed = (
@@ -76,7 +86,8 @@ class RunSpec:
     which is what lets :func:`execute_run` execute in a worker process
     with no shared state.  The horizon is measured once by
     :meth:`CampaignRunner.calibrate` and shared via the spec so workers
-    skip the calibration pass.
+    skip the calibration pass.  :meth:`warm` and :meth:`execute` are the
+    campaign-core protocol (see :mod:`repro.swifi.parallel`).
     """
 
     service: str
@@ -110,6 +121,23 @@ class RunSpec:
             f"/h{self.horizon}/{self.recovery_mode}/{self.fault_class}"
         )
 
+    def warm(self, trace: bool) -> None:
+        """Boot + seal this process's pooled system before the first run.
+
+        Traced and unpooled runs build fresh systems, so then there is
+        nothing to warm.
+        """
+        if not trace and _pool_active():
+            _campaign_system(self.ft_mode, self.recovery_mode)
+
+    def execute(self, run_seed: int, context, trace: bool):
+        """One run's ``({"outcome": value}, record | None)``."""
+        if trace:
+            outcome, record = execute_run_traced(self, run_seed)
+        else:
+            outcome, record = _drive_run(self, run_seed)[0], None
+        return {"outcome": outcome.value}, record
+
 
 def injection_point(run_seed: int, horizon: int) -> int:
     """Injection point for one run, a pure function of its seed.
@@ -141,24 +169,22 @@ def execute_run_traced(spec: RunSpec, run_seed: int):
     injection point, outcome, recorded events, and per-run metrics —
     ready for :func:`repro.observe.export.write_run`.  Tracing is forced
     for the scope of the run only, so workers trace their runs whether
-    or not ``REPRO_TRACE`` is set in their environment.  Event emission
-    never feeds back into execution, so the outcome is identical to the
-    untraced :func:`execute_run` for the same ``(spec, run_seed)``.
+    or not ``REPRO_TRACE`` is set in their environment, and against a
+    private compiled-program memo, so the record does not depend on
+    which runs the process executed before.  Event emission never feeds
+    back into execution, so the outcome is identical to the untraced
+    :func:`execute_run` for the same ``(spec, run_seed)``.
     """
     from repro import observe
 
-    with observe.tracing(True):
+    with observe.tracing(True), private_program_cache():
         outcome, system, swifi, steps, __ = _drive_run(spec, run_seed)
         recorder = system.kernel.recorder
         metrics = recorder.metrics
         # Fold the kernel's whole-run counters into the per-run registry
         # so campaign aggregation sees engine + recovery statistics in
         # one deterministic place.
-        for stat in (
-            "invocations", "upcalls", "faults_vectored", "micro_reboots",
-            "steps", "interp_fast_runs", "interp_slow_runs",
-            "trace_cache_hits", "trace_cache_misses", "budget_exhausted",
-        ):
+        for stat in TRACED_KERNEL_STATS:
             metrics.counter(stat).inc(system.kernel.stats[stat])
         metrics.counter("runs").inc()
         metrics.counter(f"outcome_{outcome.value}").inc()
@@ -179,7 +205,14 @@ def execute_run_traced(spec: RunSpec, run_seed: int):
     return outcome, record
 
 
-def _campaign_system(ft_mode: str, recovery_mode: str, instance=None):
+def _pool_active() -> bool:
+    """Do campaign runs restore pooled systems (vs build fresh ones)?"""
+    return pooling_enabled() and not tracing_enabled()
+
+
+def _campaign_system(
+    ft_mode: str, recovery_mode: str, instance=None, prepare=None
+):
     """A system for one campaign run: pooled by default, fresh otherwise.
 
     Pooling reuses a per-process sealed system, dirty-restoring it to
@@ -187,16 +220,24 @@ def _campaign_system(ft_mode: str, recovery_mode: str, instance=None):
     because a restored system is structurally indistinguishable from a
     fresh build (``REPRO_POOL_DEBUG=1`` verifies that per restore).
     ``instance`` selects a private pool snapshot (e.g. one cluster
-    node's) instead of the process-shared one.  Traced runs always build
-    fresh: warm trace caches shift cache-hit counters that the flight
-    recorder folds into per-run metrics, and trace artifacts must stay
-    byte-identical serial vs parallel.
+    node's) instead of the process-shared one; ``prepare`` is applied
+    to every build before it is sealed (e.g. the web server registering
+    its application components).  Traced runs always build fresh: warm
+    trace caches shift cache-hit counters that the flight recorder folds
+    into per-run metrics, and trace artifacts must stay byte-identical
+    serial vs parallel.
     """
-    if pooling_enabled() and not tracing_enabled():
+    if _pool_active():
         return GLOBAL_POOL.acquire(
-            ft_mode=ft_mode, recovery_mode=recovery_mode, instance=instance
+            ft_mode=ft_mode,
+            recovery_mode=recovery_mode,
+            instance=instance,
+            prepare=prepare,
         )
-    return build_system(ft_mode=ft_mode, recovery_mode=recovery_mode)
+    system = build_system(ft_mode=ft_mode, recovery_mode=recovery_mode)
+    if prepare is not None:
+        prepare(system)
+    return system
 
 
 def _arm_for_class(swifi: SwifiController, spec: RunSpec, point: int) -> None:
@@ -213,17 +254,15 @@ def _arm_for_class(swifi: SwifiController, spec: RunSpec, point: int) -> None:
         raise ValueError(f"unknown fault class {spec.fault_class!r}")
 
 
-def _drive_run(spec: RunSpec, run_seed: int, system=None, instance=None):
+def _drive_run(spec: RunSpec, run_seed: int, instance=None):
     """Boot (or pool-restore) a system, inject per the spec, run it.
 
     ``instance`` routes the run through a private instance-keyed pool
-    snapshot (a cluster node's).  ``system`` lets a caller hand in a
-    system it manages itself (e.g. a fresh per-run build).
+    snapshot (a cluster node's).
     """
-    if system is None:
-        system = _campaign_system(
-            spec.ft_mode, spec.recovery_mode, instance=instance
-        )
+    system = _campaign_system(
+        spec.ft_mode, spec.recovery_mode, instance=instance
+    )
     kernel = system.kernel
     swifi = SwifiController(kernel, seed=run_seed)
     workload = workload_for(spec.service)
@@ -385,7 +424,7 @@ class CampaignRunner:
 
     def run_seeds(self) -> List[int]:
         """The deterministic per-run seed schedule for this campaign."""
-        return [self.seed * 1_000_003 + i for i in range(self.n_faults)]
+        return campaign_seeds(self.seed, self.n_faults)
 
     # ------------------------------------------------------------------
     def run_one(self, run_seed: int) -> Outcome:
@@ -412,32 +451,27 @@ class CampaignRunner:
         every run executes with tracing on and its event journal +
         metrics are appended there (outcomes are unchanged by tracing).
         """
-        from repro.swifi.parallel import run_campaign
-
-        setup_start = time.perf_counter()
+        calibrate_start = time.perf_counter()
         spec = self.spec()
-        seeds = self.run_seeds()
+        calibrate_wall = time.perf_counter() - calibrate_start
         timing: Dict[str, float] = {}
-        exec_start = time.perf_counter()
         counter = run_campaign(
             spec,
-            seeds,
+            self.run_seeds(),
             workers=workers,
             journal=journal,
             progress=progress,
             trace=trace,
             timing=timing,
         )
-        exec_end = time.perf_counter()
-        init_wall = timing["init_wall"]
         return CampaignResult(
             service=self.service,
             counter=counter,
             seed=self.seed,
             ft_mode=self.ft_mode,
             fault_class=self.fault_class,
-            setup_wall=exec_start - setup_start + init_wall,
-            exec_wall=exec_end - exec_start - init_wall,
+            setup_wall=calibrate_wall + timing["setup_wall"],
+            exec_wall=timing["exec_wall"],
         )
 
 
@@ -503,17 +537,16 @@ def write_table2_json(results: List[CampaignResult], path: str) -> None:
     sidecar — the main artifact stays bit-identical across machines,
     worker counts, and pooling modes.
     """
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump([result.row() for result in results], handle, indent=2)
-        handle.write("\n")
-    timing = []
-    for result in results:
-        timing.append({
-            "component": result.service,
-            "injected": result.injected,
-            "setup_wall": result.setup_wall,
-            "exec_wall": result.exec_wall,
-        })
-    with open(path + ".timing.json", "w", encoding="utf-8") as handle:
-        json.dump(timing, handle, indent=2)
-        handle.write("\n")
+    write_artifact(
+        path,
+        [result.row() for result in results],
+        [
+            {
+                "component": result.service,
+                "injected": result.injected,
+                "setup_wall": result.setup_wall,
+                "exec_wall": result.exec_wall,
+            }
+            for result in results
+        ],
+    )

@@ -1,17 +1,32 @@
-"""Parallel, resumable SWIFI campaign execution.
+"""The campaign core: seeded, independent runs fanned out and merged.
 
-Injection campaigns are embarrassingly parallel: each run boots a fresh
-system (the paper reboots the machine between runs), so runs share
-nothing but the calibrated :class:`~repro.swifi.campaign.RunSpec`.  This
-module fans a campaign's run seeds out across a
-:class:`~concurrent.futures.ProcessPoolExecutor`, streams each chunk's
-``(run_seed, outcome)`` pairs back to the parent as it completes, and
-merges them in seed-schedule order so the aggregated
-:class:`~repro.swifi.classify.OutcomeCounter` is bit-identical to the
-serial path.
+Every campaign in this repository — the SWIFI Table II campaigns, the
+web-server Fig. 7 campaign and the cluster campaign — follows one
+protocol:
 
-A JSONL journal makes campaigns resumable: every completed run is
-appended as ``{"fingerprint", "run_seed", "outcome"}`` the moment its
+* a frozen *spec* (:class:`~repro.swifi.campaign.RunSpec`,
+  :class:`~repro.webserver.campaign.WebRunSpec`,
+  :class:`~repro.cluster.campaign.ClusterSpec`) plus a seed schedule
+  (:func:`campaign_seeds`);
+* ``spec.warm(trace)`` once per process — the one-time setup (pool
+  boot + seal, the cluster's cell) whose result, the *context*, every
+  run of that process reuses;
+* ``spec.execute(seed, context, trace) -> (row, record | None)`` per
+  run, a pure function of ``(spec, seed)``; every row carries an
+  ``"outcome"`` string, and ``record`` is the run's flight-recorder
+  export when tracing;
+* an order-independent merge: rows are collected as chunks complete and
+  reordered by the seed schedule, so the result is bit-identical
+  serial vs parallel;
+* an artifact plus a ``.timing.json`` wall-clock sidecar.
+
+Runs are embarrassingly parallel — each one restores (or builds) its
+own system, as the paper reboots the machine between runs — so
+:func:`fan_out_chunks` spreads seed chunks over a
+:class:`~concurrent.futures.ProcessPoolExecutor`.
+
+A JSONL journal makes Table II campaigns resumable: every completed run
+is appended as ``{"fingerprint", "run_seed", "outcome"}`` the moment its
 chunk finishes, and a rerun against the same journal replays those
 outcomes instead of re-executing them.  Entries are keyed by the spec
 fingerprint, so one journal file can checkpoint a whole multi-service
@@ -23,17 +38,23 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.errors import HarnessError
 from repro.observe import export as trace_export
 from repro.observe.metrics import canonical_metrics, merge_metrics
-from repro.swifi.campaign import RunSpec, _drive_run, execute_run_traced
 from repro.swifi.classify import Outcome, OutcomeCounter
-from repro.system import GLOBAL_POOL, compile_all_interfaces, pooling_enabled
+from repro.system import compile_all_interfaces
 
 #: Target chunks per worker: small enough to stream progress and balance
 #: load, large enough to amortise task-submission overhead.
 CHUNKS_PER_WORKER = 4
+
+
+def campaign_seeds(seed: int, n_runs: int) -> List[int]:
+    """The deterministic per-run seed schedule of a campaign."""
+    return [seed * 1_000_003 + i for i in range(n_runs)]
 
 
 def default_workers() -> int:
@@ -75,35 +96,51 @@ def chunk_seeds(seeds: Sequence[int], workers: int) -> List[List[int]]:
     return [list(seeds[i:i + size]) for i in range(0, len(seeds), size)]
 
 
-#: Worker-side campaign parameters, set once by the chunk initializer.
+#: Worker-side ``(spec, context, trace)``, set once by the initializer.
 #: Chunks then carry only seed lists: the spec crosses the process
 #: boundary exactly once per worker (spawn) or zero times (fork — the
 #: parent runs the initializer and workers inherit everything COW).
-_WORKER_SPEC: Optional[RunSpec] = None
-_WORKER_TRACE: bool = False
+_WORKER: Optional[tuple] = None
 
 
-def _init_campaign_worker(spec: RunSpec, trace: bool = False) -> None:
+def _init_worker(spec, trace: bool = False) -> None:
     """Campaign initializer: pay all per-process setup costs once.
 
-    Without this, every worker lazily recompiled the six IDL interfaces
-    on its first run (the ``compile_all_interfaces`` cache is
-    per-process and starts cold) and built a system per run.  Here each
-    process compiles once and — when pooling is enabled — boots and
-    seals its pooled system before the first chunk arrives, so chunk
-    wall times measure injection runs, not setup.  Under fork this runs
-    in the *parent* and workers inherit the whole warm state
-    copy-on-write.
+    Compiles the six IDL interfaces (the ``compile_all_interfaces``
+    cache is per-process and starts cold) and lets the spec warm its
+    context — boot + seal the pooled system, build the cluster cell —
+    before the first chunk arrives, so chunk wall times measure runs,
+    not setup.  Under fork this runs in the *parent* and workers
+    inherit the whole warm state copy-on-write.
     """
-    global _WORKER_SPEC, _WORKER_TRACE
-    _WORKER_SPEC = spec
-    _WORKER_TRACE = trace
+    global _WORKER
     if spec.ft_mode == "superglue":
         compile_all_interfaces()
-    if not trace and pooling_enabled():
-        GLOBAL_POOL.acquire(
-            ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode
-        )
+    _WORKER = (spec, spec.warm(trace), trace)
+
+
+def _execute_chunk(seeds: List[int]):
+    """Worker entry point: one chunk of runs -> ``(seed, row, record)``.
+
+    Reads the campaign from the initializer-set global — the submitted
+    payload is just the seed list.  Rows and records are plain
+    JSON-safe values, so results serialise cheaply across the process
+    boundary and into the journal.  An exception the run's own
+    classification did not absorb is a harness bug, not an outcome: it
+    is re-raised as :class:`~repro.errors.HarnessError` naming the spec
+    and the seed, so the failure can be reproduced in one process.
+    """
+    spec, context, trace = _WORKER
+    results = []
+    for seed in seeds:
+        try:
+            row, record = spec.execute(seed, context, trace)
+        except Exception as exc:
+            raise HarnessError(
+                spec.fingerprint(), seed, f"{type(exc).__name__}: {exc}"
+            ) from exc
+        results.append((seed, row, record))
+    return results
 
 
 def fan_out_chunks(
@@ -114,23 +151,22 @@ def fan_out_chunks(
     initargs: tuple = (),
     on_batch=None,
 ) -> float:
-    """Fan ``execute`` out over chunked seeds — the shared campaign core.
+    """Fan ``execute`` out over chunked seeds.
 
     ``execute(seeds)`` must be a picklable module-level function taking
     only the chunk's seed list (per-campaign parameters travel through
     ``initializer(*initargs)``, never per chunk) and returning one
     result per seed; ``on_batch(results)`` is invoked in the parent as
-    each chunk completes (completion order — callers that need
-    determinism merge by seed afterwards, as :func:`run_campaign`
-    does).  With ``workers <= 1`` or at most one pending seed, the
-    initializer runs in-process and everything executes seed-by-seed
-    with no pool overhead but the identical per-run code path.  Under
-    the ``fork`` start method (see :func:`worker_start_method`) the
-    initializer also runs in the parent, *before* the pool exists, so
-    forked workers inherit its work — sealed pooled system, compiled
-    interfaces — copy-on-write instead of rebuilding it per worker.
-    Used by both the SWIFI table campaigns and the web-server Fig. 7
-    campaign.
+    each chunk completes (completion order — :func:`execute_campaign`
+    merges by seed afterwards).  With ``workers <= 1`` or at most one
+    pending seed, the initializer runs in-process and everything
+    executes seed-by-seed with no pool overhead but the identical
+    per-run code path.  Under the ``fork`` start method (see
+    :func:`worker_start_method`) the initializer also runs in the
+    parent, *before* the pool exists, so forked workers inherit its
+    work — sealed pooled system, compiled interfaces — copy-on-write
+    instead of rebuilding it per worker.  If a chunk raises, chunks
+    not yet started are cancelled and the exception propagates.
 
     Returns the wall seconds the initializer took in this process, so
     callers can bill that one-time setup apart from run execution.  It
@@ -163,32 +199,13 @@ def fan_out_chunks(
         initargs=initargs,
     ) as pool:
         futures = [pool.submit(execute, chunk) for chunk in chunks]
-        for future in as_completed(futures):
-            on_batch(future.result())
+        try:
+            for future in as_completed(futures):
+                on_batch(future.result())
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return init_wall
-
-
-def _execute_chunk(seeds: List[int]):
-    """Worker entry point: execute one chunk of runs.
-
-    Reads the campaign parameters from the initializer-set module
-    globals — the submitted payload is just the seed list.  Returns
-    ``(run_seed, outcome.value, run_record_or_None)`` triples — plain
-    strings/dicts, not enum members, so results serialise cheaply
-    across the process boundary and into the journal.  With the trace
-    flag set, each run executes under the flight recorder and ships its
-    event journal + per-run metrics back to the parent, which merges
-    and exports them deterministically.
-    """
-    spec, trace = _WORKER_SPEC, _WORKER_TRACE
-    results: List[Tuple[int, str, Optional[dict]]] = []
-    for seed in seeds:
-        if trace:
-            outcome, record = execute_run_traced(spec, seed)
-        else:
-            outcome, record = _drive_run(spec, seed)[0], None
-        results.append((seed, outcome.value, record))
-    return results
 
 
 class CampaignJournal:
@@ -197,7 +214,7 @@ class CampaignJournal:
     def __init__(self, path: str):
         self.path = path
 
-    def load(self, spec: RunSpec) -> Dict[int, Outcome]:
+    def load(self, spec) -> Dict[int, Outcome]:
         """Completed ``{run_seed: outcome}`` for this spec's fingerprint.
 
         Tolerates a truncated final line (the campaign may have been
@@ -221,9 +238,7 @@ class CampaignJournal:
                     continue
         return done
 
-    def append(
-        self, spec: RunSpec, completed: Iterable[Tuple[int, str]]
-    ) -> None:
+    def append(self, spec, completed: Iterable[Tuple[int, str]]) -> None:
         """Record finished runs; flushed immediately so a kill loses at
         most the in-flight chunk."""
         fingerprint = spec.fingerprint()
@@ -242,87 +257,148 @@ class CampaignJournal:
             handle.flush()
 
 
-def run_campaign(
-    spec: RunSpec,
-    run_seeds: Sequence[int],
+@dataclass
+class CampaignOutput:
+    """A finished campaign: per-seed rows (seed order) plus the aggregate.
+
+    The aggregate is the driver's own reduction of the rows; the
+    wall-clock split is sidecar-only, so the artifact stays
+    deterministic across machines, worker counts and pooling modes.
+    """
+
+    spec: object
+    seeds: List[int]
+    rows: List[Dict[str, object]]
+    aggregate: Optional[Dict[str, object]] = None
+    #: One-time setup (IDL compile, pool boot + seal, cell build) vs
+    #: run execution, in wall seconds.
+    setup_wall: float = 0.0
+    exec_wall: float = 0.0
+
+    def to_json_dict(self) -> Dict[str, object]:
+        """The deterministic campaign artifact (no wall-clock anywhere)."""
+        return {
+            "fingerprint": self.spec.fingerprint(),
+            "spec": asdict(self.spec),
+            "seeds": list(self.seeds),
+            "rows": self.rows,
+            "aggregate": self.aggregate,
+        }
+
+    def write_json(self, path: str) -> None:
+        """Write the artifact plus a ``.timing.json`` wall-clock sidecar."""
+        write_artifact(
+            path,
+            self.to_json_dict(),
+            {
+                "runs": len(self.rows),
+                "setup_wall": self.setup_wall,
+                "exec_wall": self.exec_wall,
+            },
+        )
+
+
+def write_artifact(path: str, artifact, timing) -> None:
+    """Write a campaign artifact and its ``.timing.json`` sidecar.
+
+    Wall-clock timings are machine-dependent, so they never enter the
+    artifact itself: it stays bit-identical across machines, worker
+    counts and pooling modes.
+    """
+    for target, payload in ((path, artifact), (path + ".timing.json", timing)):
+        with open(target, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")
+
+
+def execute_campaign(
+    spec,
+    seeds: Sequence[int],
     workers: Optional[int] = None,
     journal: Optional[str] = None,
     progress=None,
     trace: Optional[str] = None,
-    timing: Optional[Dict[str, float]] = None,
-) -> OutcomeCounter:
-    """Execute a campaign's runs and aggregate their outcomes.
-
-    ``timing``, if given, receives ``init_wall``: the seconds this
-    process spent in the campaign initializer (IDL compile, pool boot +
-    seal; see :func:`fan_out_chunks`), which callers bill as one-time
-    setup rather than run execution.
+) -> CampaignOutput:
+    """Execute a campaign's runs and merge their rows in seed order.
 
     ``workers=None`` uses one worker per CPU (:func:`default_workers`);
     ``workers=1`` (or a single pending run) stays in-process with no
-    pool overhead.  The merge happens in ``run_seeds`` order regardless
-    of completion order (and regardless of how many runs were replayed
-    from the journal), so for a given seed schedule the resulting
-    counter is bit-identical across worker counts and across resumes.
+    pool overhead.  The merge follows ``seeds`` regardless of
+    completion order (and of how many runs were replayed from the
+    journal), so for a given seed schedule the rows are bit-identical
+    across worker counts and across resumes.
+
+    ``journal`` names a JSONL checkpoint (rows of the form
+    ``{"outcome": ...}`` only, i.e. Table II runs): completed runs are
+    appended as their chunks finish and replayed on a rerun.
+    ``progress(done, total, row)`` is called per finished run.
 
     ``trace`` names a flight-recorder JSONL artifact to append to: each
     run then executes with tracing on (workers serialize each run's
-    event journal + metrics back to the parent), and the parent writes
-    runs in seed-schedule order and merges per-run metrics in that same
-    order — so the exported file and the merged metrics are also
-    identical across worker counts.  Runs replayed from the journal were
-    not re-executed and contribute no events; the summary line counts
-    them.
+    record back to the parent), and the parent writes runs in seed order
+    and merges per-run metrics in that same order — so the exported file
+    is also identical across worker counts.  Runs replayed from the
+    journal were not re-executed and contribute no events; the summary
+    line counts them.
+
+    The result's ``setup_wall`` is the time this process spent in the
+    campaign initializer (see :func:`fan_out_chunks`); ``exec_wall`` is
+    the rest.
     """
     if workers is None:
         workers = default_workers()
+    seeds = list(seeds)
     book = CampaignJournal(journal) if journal else None
-    outcomes: Dict[int, Outcome] = book.load(spec) if book else {}
-    replayed = {seed for seed in run_seeds if seed in outcomes}
-    pending = [seed for seed in run_seeds if seed not in outcomes]
-    total = len(run_seeds)
-    completed = total - len(pending)
+    rows: Dict[int, Dict[str, object]] = {
+        seed: {"outcome": outcome.value}
+        for seed, outcome in (book.load(spec) if book else {}).items()
+    }
+    pending = [seed for seed in seeds if seed not in rows]
+    replayed = len(seeds) - len(pending)
+    completed = replayed
     records: Dict[int, dict] = {}
-    tracing = trace is not None
 
-    def note(triples) -> None:
+    def note(batch) -> None:
         nonlocal completed
         if book is not None:
-            book.append(spec, [(seed, value) for seed, value, __ in triples])
-        for run_seed, value, record in triples:
-            outcomes[run_seed] = Outcome(value)
+            book.append(spec, [(seed, row["outcome"]) for seed, row, __ in batch])
+        for run_seed, row, record in batch:
+            rows[run_seed] = row
             if record is not None:
                 records[run_seed] = record
             completed += 1
             if progress is not None:
-                progress(completed, total, outcomes[run_seed])
+                progress(completed, len(seeds), row)
 
+    exec_start = time.perf_counter()
     init_wall = fan_out_chunks(
         _execute_chunk,
         pending,
         workers,
-        initializer=_init_campaign_worker,
-        initargs=(spec, tracing),
+        initializer=_init_worker,
+        initargs=(spec, trace is not None),
         on_batch=note,
     )
-    if timing is not None:
-        timing["init_wall"] = init_wall
-
-    counter = OutcomeCounter()
-    for seed in run_seeds:
-        counter.add(outcomes[seed])
-    if tracing:
-        _export_trace(trace, spec, run_seeds, outcomes, records, replayed)
-    return counter
+    exec_wall = time.perf_counter() - exec_start - init_wall
+    ordered = [rows[seed] for seed in seeds]
+    if trace is not None:
+        _export_trace(trace, spec, seeds, ordered, records, replayed)
+    return CampaignOutput(
+        spec=spec,
+        seeds=seeds,
+        rows=ordered,
+        setup_wall=init_wall,
+        exec_wall=exec_wall,
+    )
 
 
 def _export_trace(
     path: str,
-    spec: RunSpec,
-    run_seeds: Sequence[int],
-    outcomes: Dict[int, Outcome],
+    spec,
+    seeds: Sequence[int],
+    rows: Sequence[Dict[str, object]],
     records: Dict[int, dict],
-    replayed,
+    replayed: int,
 ) -> None:
     """Append this campaign's runs + summary to the trace artifact.
 
@@ -333,21 +409,48 @@ def _export_trace(
     """
     merged_metrics: Dict[str, object] = {}
     with open(path, "a", encoding="utf-8") as handle:
-        for seed in run_seeds:
+        for seed in seeds:
             record = records.get(seed)
             if record is None:
                 continue
             trace_export.write_run(handle, record)
             merge_metrics(merged_metrics, record["metrics"])
         tally: Dict[str, int] = {}
-        for seed in run_seeds:
-            value = outcomes[seed].value
-            tally[value] = tally.get(value, 0) + 1
+        for row in rows:
+            tally[row["outcome"]] = tally.get(row["outcome"], 0) + 1
         trace_export.write_summary(
             handle,
             fingerprint=spec.fingerprint(),
-            runs=len(run_seeds),
-            replayed=len(replayed),
+            runs=len(seeds),
+            replayed=replayed,
             outcomes=tally,
             metrics=canonical_metrics(merged_metrics),
         )
+
+
+def run_campaign(
+    spec,
+    run_seeds: Sequence[int],
+    workers: Optional[int] = None,
+    journal: Optional[str] = None,
+    progress=None,
+    trace: Optional[str] = None,
+    timing: Optional[Dict[str, float]] = None,
+) -> OutcomeCounter:
+    """Execute a Table II campaign and count its outcomes.
+
+    See :func:`execute_campaign` for ``workers``, ``journal``,
+    ``progress`` and ``trace``.  ``timing``, if given, receives the
+    campaign's ``setup_wall`` and ``exec_wall`` seconds.
+    """
+    output = execute_campaign(
+        spec, run_seeds, workers, journal=journal, progress=progress,
+        trace=trace,
+    )
+    if timing is not None:
+        timing["setup_wall"] = output.setup_wall
+        timing["exec_wall"] = output.exec_wall
+    counter = OutcomeCounter()
+    for row in output.rows:
+        counter.add(Outcome(row["outcome"]))
+    return counter

@@ -5,16 +5,17 @@ repeatedly while a fault is injected into a different system-level
 component each period.  A single ``run_webserver`` call answers "what
 happened once"; this module scales it the way ReHype's evaluation scales
 VM recovery — many seeded runs, each a pure function of
-``(WebRunSpec, run_seed)``, fanned out over the SWIFI campaign
-machinery:
+``(WebRunSpec, run_seed)``, fanned out by the campaign core in
+:mod:`repro.swifi.parallel` that the SWIFI and cluster campaigns share:
 
 * systems come from :class:`repro.system.SystemPool` (boot + seal once
   per process, dirty-restore per run) with the web server's application
   components registered *before* sealing via the pool's ``prepare``
   hook, so ``REPRO_POOL_DEBUG=1`` verification covers them too;
-* seeds are chunked across :func:`repro.swifi.parallel.fan_out_chunks`'s
-  process pool, and rows are merged in seed order, so a campaign's JSON
-  artifact is byte-identical serial vs parallel, pooled vs fresh;
+* :class:`WebRunSpec` implements the core's ``warm``/``execute``
+  protocol; seeds are chunked across its process pool, and rows are
+  merged in seed order, so a campaign's JSON artifact is byte-identical
+  serial vs parallel, pooled vs fresh;
 * per-request latencies aggregate through
   :mod:`repro.observe.metrics` order-independent histograms (p50/p95/p99
   in virtual time), and traced runs export ``request_start`` /
@@ -24,28 +25,28 @@ machinery:
 
 from __future__ import annotations
 
-import json
 import math
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
+from repro.composite.fastpath import private_program_cache
 from repro.composite.scheduler import CYCLES_PER_US
-from repro.observe import export as trace_export
-from repro.observe import tracing_enabled
 from repro.observe.metrics import (
     MetricsRegistry,
     canonical_metrics,
     histogram_quantile,
     merge_metrics,
 )
+from repro.swifi.campaign import (
+    TRACED_KERNEL_STATS,
+    _campaign_system,
+    _pool_active,
+)
 from repro.swifi.injector import FAULT_CLASSES
-from repro.swifi.parallel import default_workers, fan_out_chunks
-from repro.system import (
-    GLOBAL_POOL,
-    build_system,
-    compile_all_interfaces,
-    pooling_enabled,
+from repro.swifi.parallel import (
+    CampaignOutput,
+    campaign_seeds,
+    execute_campaign,
 )
 from repro.webserver.arrivals import ArrivalSpec
 from repro.webserver.loadgen import LoadResult, run_webserver
@@ -140,10 +141,22 @@ class WebRunSpec:
             )
         return base
 
+    def warm(self, trace: bool) -> None:
+        """Boot + seal the prepared pooled system before the first run."""
+        if not trace and _pool_active():
+            _campaign_system(
+                self.ft_mode, self.recovery_mode, prepare=prepare_webserver
+            )
 
-def web_run_seeds(seed: int, n_seeds: int) -> List[int]:
-    """The deterministic seed schedule (same stride as SWIFI campaigns)."""
-    return [seed * 1_000_003 + i for i in range(n_seeds)]
+    def execute(self, run_seed: int, context, trace: bool):
+        """One run's ``(row, record | None)`` (campaign-core protocol)."""
+        if trace:
+            return execute_web_run_traced(self, run_seed)
+        return execute_web_run(self, run_seed), None
+
+
+#: The seed schedule: the same stride as the SWIFI campaigns.
+web_run_seeds = campaign_seeds
 
 
 def prepare_webserver(system) -> None:
@@ -154,21 +167,6 @@ def prepare_webserver(system) -> None:
     and apply it to the fresh reference build under ``REPRO_POOL_DEBUG``.
     """
     register_webserver_components(system.kernel)
-
-
-def _web_system(spec: WebRunSpec):
-    """A prepared system for one campaign run: pooled unless tracing."""
-    if pooling_enabled() and not tracing_enabled():
-        return GLOBAL_POOL.acquire(
-            ft_mode=spec.ft_mode,
-            recovery_mode=spec.recovery_mode,
-            prepare=prepare_webserver,
-        )
-    system = build_system(
-        ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode
-    )
-    prepare_webserver(system)
-    return system
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +257,11 @@ def _row_from_result(run_seed: int, result: LoadResult) -> Dict[str, object]:
     return row
 
 
-def execute_web_run(spec: WebRunSpec, run_seed: int) -> Dict[str, object]:
-    """Execute one faulted web-server run; returns its campaign row.
-
-    Module-level and pure (given the spec and seed) so process-pool
-    workers can run it from chunks, like the SWIFI ``execute_run``.
-    """
+def _web_run(spec: WebRunSpec, run_seed: int):
+    """Serve one faulted run on a prepared system; ``(result, system)``."""
+    system = _campaign_system(
+        spec.ft_mode, spec.recovery_mode, prepare=prepare_webserver
+    )
     result = run_webserver(
         ft_mode=spec.ft_mode,
         n_requests=spec.n_requests,
@@ -274,7 +271,7 @@ def execute_web_run(spec: WebRunSpec, run_seed: int) -> Dict[str, object]:
         n_faults=spec.n_faults,
         seed=run_seed,
         max_steps=spec.max_steps,
-        system=_web_system(spec),
+        system=system,
         # Shortfalls are first-class row data (faults_armed) in a
         # campaign, not per-run stderr noise.
         warn_shortfall=False,
@@ -282,7 +279,16 @@ def execute_web_run(spec: WebRunSpec, run_seed: int) -> Dict[str, object]:
         slo_us=spec.slo_us if spec.arrivals == "open" else None,
         fault_class=spec.fault_class,
     )
-    return _row_from_result(run_seed, result)
+    return result, system
+
+
+def execute_web_run(spec: WebRunSpec, run_seed: int) -> Dict[str, object]:
+    """Execute one faulted web-server run; returns its campaign row.
+
+    Module-level and pure (given the spec and seed), like the SWIFI
+    ``execute_run``.
+    """
+    return _row_from_result(run_seed, _web_run(spec, run_seed)[0])
 
 
 def execute_web_run_traced(
@@ -299,31 +305,12 @@ def execute_web_run_traced(
     """
     from repro import observe
 
-    with observe.tracing(True):
-        system = _web_system(spec)
-        result = run_webserver(
-            ft_mode=spec.ft_mode,
-            n_requests=spec.n_requests,
-            concurrency=spec.concurrency,
-            n_workers=spec.n_workers,
-            with_faults=spec.n_faults > 0,
-            n_faults=spec.n_faults,
-            seed=run_seed,
-            max_steps=spec.max_steps,
-            system=system,
-            warn_shortfall=False,
-            arrival_spec=spec.arrival_spec(),
-            slo_us=spec.slo_us if spec.arrivals == "open" else None,
-            fault_class=spec.fault_class,
-        )
+    with observe.tracing(True), private_program_cache():
+        result, system = _web_run(spec, run_seed)
         row = _row_from_result(run_seed, result)
         recorder = system.kernel.recorder
         metrics = recorder.metrics
-        for stat in (
-            "invocations", "upcalls", "faults_vectored", "micro_reboots",
-            "steps", "interp_fast_runs", "interp_slow_runs",
-            "trace_cache_hits", "trace_cache_misses", "budget_exhausted",
-        ):
+        for stat in TRACED_KERNEL_STATS:
             metrics.counter(stat).inc(system.kernel.stats[stat])
         metrics.counter("runs").inc()
         record = {
@@ -345,102 +332,12 @@ def execute_web_run_traced(
     return row, record
 
 
-#: Worker-side campaign parameters (see ``repro.swifi.parallel``): set
-#: once per process by the initializer so chunks carry only seed lists.
-_WEB_SPEC: Optional[WebRunSpec] = None
-_WEB_TRACE: bool = False
-
-
-def _init_web_worker(spec: WebRunSpec, trace: bool = False) -> None:
-    """Campaign initializer: compile + boot/seal up front.
-
-    Runs in the parent under the fork start method (workers inherit the
-    warm state copy-on-write) and per worker under spawn.
-    """
-    global _WEB_SPEC, _WEB_TRACE
-    _WEB_SPEC = spec
-    _WEB_TRACE = trace
-    if spec.ft_mode == "superglue":
-        compile_all_interfaces()
-    if not trace and pooling_enabled() and not tracing_enabled():
-        GLOBAL_POOL.acquire(
-            ft_mode=spec.ft_mode,
-            recovery_mode=spec.recovery_mode,
-            prepare=prepare_webserver,
-        )
-
-
-def _execute_web_chunk(
-    seeds: List[int],
-) -> List[Tuple[int, Dict[str, object], Optional[dict]]]:
-    """Worker entry point: one chunk of runs -> (seed, row, record|None)."""
-    spec, trace = _WEB_SPEC, _WEB_TRACE
-    results: List[Tuple[int, Dict[str, object], Optional[dict]]] = []
-    for seed in seeds:
-        if trace:
-            row, record = execute_web_run_traced(spec, seed)
-        else:
-            row, record = execute_web_run(spec, seed), None
-        results.append((seed, row, record))
-    return results
-
-
 # ---------------------------------------------------------------------------
 # Campaign aggregation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WebCampaignResult:
-    """A finished Fig. 7 campaign: per-seed rows plus the aggregate."""
-
-    spec: WebRunSpec
-    seeds: List[int]
-    rows: List[Dict[str, object]]
-    aggregate: Dict[str, object]
-    #: Wall-clock split (sidecar-only: the artifact stays deterministic).
-    setup_wall: float = 0.0
-    exec_wall: float = 0.0
-
-    def to_json_dict(self) -> Dict[str, object]:
-        """The deterministic campaign artifact (no wall-clock anywhere)."""
-        return {
-            "fingerprint": self.spec.fingerprint(),
-            "spec": {
-                "ft_mode": self.spec.ft_mode,
-                "n_requests": self.spec.n_requests,
-                "concurrency": self.spec.concurrency,
-                "n_workers": self.spec.n_workers,
-                "n_faults": self.spec.n_faults,
-                "max_steps": self.spec.max_steps,
-                "recovery_mode": self.spec.recovery_mode,
-                "fault_class": self.spec.fault_class,
-                "arrivals": self.spec.arrivals,
-                "load": self.spec.load,
-                "phases": self.spec.phases,
-                "slo_us": self.spec.slo_us,
-                "arrival_seed": self.spec.arrival_seed,
-            },
-            "seeds": list(self.seeds),
-            "rows": self.rows,
-            "aggregate": self.aggregate,
-        }
-
-    def write_json(self, path: str) -> None:
-        """Write the artifact plus a ``.timing.json`` wall-clock sidecar."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2)
-            handle.write("\n")
-        with open(path + ".timing.json", "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "runs": len(self.rows),
-                    "setup_wall": self.setup_wall,
-                    "exec_wall": self.exec_wall,
-                },
-                handle,
-                indent=2,
-            )
-            handle.write("\n")
+#: A finished Fig. 7 campaign: per-seed rows plus the aggregate.
+WebCampaignResult = CampaignOutput
 
 
 def aggregate_rows(
@@ -519,72 +416,11 @@ def run_webserver_campaign(
     seed order plus one summary line.
     """
     spec = spec or WebRunSpec()
-    if workers is None:
-        workers = default_workers()
-    seeds = list(seeds)
-    tracing = trace is not None
-    setup_start = time.perf_counter()
-    rows_by_seed: Dict[int, Dict[str, object]] = {}
-    records: Dict[int, dict] = {}
-
-    def note(batch) -> None:
-        for run_seed, row, record in batch:
-            rows_by_seed[run_seed] = row
-            if record is not None:
-                records[run_seed] = record
-            if progress is not None:
-                progress(len(rows_by_seed), len(seeds), row)
-
-    exec_start = time.perf_counter()
-    init_wall = fan_out_chunks(
-        _execute_web_chunk,
-        seeds,
-        workers,
-        initializer=_init_web_worker,
-        initargs=(spec, tracing),
-        on_batch=note,
+    result = execute_campaign(
+        spec, seeds, workers, progress=progress, trace=trace
     )
-    exec_end = time.perf_counter()
-    rows = [rows_by_seed[seed] for seed in seeds]
-    if tracing:
-        _export_web_trace(trace, spec, seeds, rows, records)
-    return WebCampaignResult(
-        spec=spec,
-        seeds=seeds,
-        rows=rows,
-        aggregate=aggregate_rows(spec, rows),
-        setup_wall=exec_start - setup_start + init_wall,
-        exec_wall=exec_end - exec_start - init_wall,
-    )
-
-
-def _export_web_trace(
-    path: str,
-    spec: WebRunSpec,
-    seeds: Sequence[int],
-    rows: Sequence[Dict[str, object]],
-    records: Dict[int, dict],
-) -> None:
-    """Parent-side trace export in seed order (serial == parallel)."""
-    merged_metrics: Dict[str, object] = {}
-    with open(path, "a", encoding="utf-8") as handle:
-        for seed in seeds:
-            record = records.get(seed)
-            if record is None:
-                continue
-            trace_export.write_run(handle, record)
-            merge_metrics(merged_metrics, record["metrics"])
-        tally: Dict[str, int] = {}
-        for row in rows:
-            tally[row["outcome"]] = tally.get(row["outcome"], 0) + 1
-        trace_export.write_summary(
-            handle,
-            fingerprint=spec.fingerprint(),
-            runs=len(seeds),
-            replayed=0,
-            outcomes=tally,
-            metrics=canonical_metrics(merged_metrics),
-        )
+    result.aggregate = aggregate_rows(spec, result.rows)
+    return result
 
 
 def format_web_campaign(result: WebCampaignResult) -> str:

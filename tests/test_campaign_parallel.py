@@ -13,7 +13,9 @@ import pytest
 from repro.__main__ import main
 from repro.cluster import ClusterSpec
 from repro.cluster import campaign as cluster_campaign
+from repro.swifi import campaign as swifi_campaign
 from repro.swifi import parallel
+from repro.system import SystemPool
 from repro.webserver import campaign as web_campaign
 from repro.swifi.campaign import (
     CampaignRunner,
@@ -227,29 +229,32 @@ class TestWallClockSplit:
     def test_pool_boot_is_billed_to_setup(self, monkeypatch):
         now = [0.0]
         monkeypatch.setattr(time, "perf_counter", lambda: now[0])
-        pool = parallel.GLOBAL_POOL
+        runner = CampaignRunner("lock", n_faults=3, seed=1)
+        runner.spec()  # calibrate first: only the campaign's boot is slow
+        pool = SystemPool()
 
         class SlowBoot:
             def acquire(self, **kwargs):
-                now[0] += 40.0
+                if pool.snapshot_for(**kwargs) is None:
+                    now[0] += 40.0  # boot + seal; restores are free
                 return pool.acquire(**kwargs)
 
         monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setattr(parallel, "GLOBAL_POOL", SlowBoot())
-        result = CampaignRunner("lock", n_faults=3, seed=1).run(workers=1)
+        monkeypatch.setattr(swifi_campaign, "GLOBAL_POOL", SlowBoot())
+        result = runner.run(workers=1)
         assert result.setup_wall == 40.0
         assert result.exec_wall == 0.0
 
     def test_runs_are_billed_to_exec(self, monkeypatch):
         now = [0.0]
         monkeypatch.setattr(time, "perf_counter", lambda: now[0])
-        drive = parallel._drive_run
+        drive = swifi_campaign._drive_run
 
         def slow_run(spec, seed):
             now[0] += 1.0
             return drive(spec, seed)
 
-        monkeypatch.setattr(parallel, "_drive_run", slow_run)
+        monkeypatch.setattr(swifi_campaign, "_drive_run", slow_run)
         runner = CampaignRunner("lock", n_faults=3, seed=1)
         result = runner.run(workers=1)
         assert result.setup_wall == 0.0
@@ -279,13 +284,13 @@ class TestWallClockSplit:
     def test_web_initializer_work_is_billed_to_setup(self, monkeypatch):
         now = [0.0]
         monkeypatch.setattr(time, "perf_counter", lambda: now[0])
-        compile_all = web_campaign.compile_all_interfaces
+        compile_all = parallel.compile_all_interfaces
 
         def slow_compile(force=False):
             now[0] += 100.0
             return compile_all(force)
 
-        monkeypatch.setattr(web_campaign, "compile_all_interfaces", slow_compile)
+        monkeypatch.setattr(parallel, "compile_all_interfaces", slow_compile)
         result = web_campaign.run_webserver_campaign(
             web_campaign.web_run_seeds(1, 2),
             web_campaign.WebRunSpec(n_requests=40, n_faults=1),
@@ -297,15 +302,13 @@ class TestWallClockSplit:
     def test_cluster_initializer_work_is_billed_to_setup(self, monkeypatch):
         now = [0.0]
         monkeypatch.setattr(time, "perf_counter", lambda: now[0])
-        compile_all = cluster_campaign.compile_all_interfaces
+        compile_all = parallel.compile_all_interfaces
 
         def slow_compile(force=False):
             now[0] += 100.0
             return compile_all(force)
 
-        monkeypatch.setattr(
-            cluster_campaign, "compile_all_interfaces", slow_compile
-        )
+        monkeypatch.setattr(parallel, "compile_all_interfaces", slow_compile)
         spec = ClusterSpec(
             service="lock", n_nodes=3, n_kill=1, units=4, horizon=17
         )

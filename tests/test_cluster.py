@@ -116,7 +116,11 @@ class TestWholeNodeReboot:
 
     def test_nodes_hold_private_pool_snapshots(self, monkeypatch):
         monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setattr("repro.cluster.node.GLOBAL_POOL", SystemPool())
+        pool = SystemPool()
+        monkeypatch.setattr("repro.cluster.node.GLOBAL_POOL", pool)
+        # acquire_system resolves the pool through the campaign's
+        # _campaign_system, i.e. via the campaign module's reference.
+        monkeypatch.setattr("repro.swifi.campaign.GLOBAL_POOL", pool)
         a = Node(0, "superglue", "ondemand").acquire_system()
         b = Node(1, "superglue", "ondemand").acquire_system()
         assert a is not b
