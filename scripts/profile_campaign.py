@@ -24,6 +24,11 @@ process's peak RSS (``ru_maxrss``), which process-pool modules got
 loaded, and the top allocation sites by line of everything still held
 at the end.  That is the tool that sized the sparse good images.
 
+Every view also prints how many tier-2 fast-path programs the campaign
+built and how many trace shapes it compiled for them (module counters in
+``repro.composite.fastpath``; each shape is one ``builtins.compile``), so
+a regression in compile count shows up here.
+
 Also available as ``make profile`` (SERVICE/FAULTS overridable; add
 ``MEMORY=1`` for the memory view).
 """
@@ -43,6 +48,28 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 #: Modules a serial campaign should never load (see swifi/parallel.py).
 POOL_MODULES = ("multiprocessing", "concurrent.futures")
+
+
+def fastpath_builds() -> dict:
+    """Snapshot of the tier-2 build counters (``fastpath.BUILD_COUNTS``)."""
+    from repro.composite import fastpath
+
+    return dict(fastpath.BUILD_COUNTS)
+
+
+def builds_line(before: dict) -> str:
+    """Programs built and shapes compiled since the ``before`` snapshot.
+
+    A shape is one ``builtins.compile``; every other program is a call
+    of its shape's memoised factory.  Counts are per campaign in this
+    process, so only the first campaign profiled starts cold.
+    """
+    now = fastpath_builds()
+    return (
+        "fast-path programs built / shapes compiled: "
+        f"{now['programs'] - before['programs']} / "
+        f"{now['shapes'] - before['shapes']}"
+    )
 
 
 def phase_breakdown(service: str, n_faults: int, seed: int) -> None:
@@ -96,6 +123,7 @@ def phase_breakdown(service: str, n_faults: int, seed: int) -> None:
         phases[phase] += now - since
         return now
 
+    builds = fastpath_builds()
     for run_seed in seeds:
         t = time.perf_counter()
         system = _campaign_system(spec.ft_mode, spec.recovery_mode)
@@ -132,6 +160,7 @@ def phase_breakdown(service: str, n_faults: int, seed: int) -> None:
     rate = len(seeds) / total if total else 0.0
     print(f"    {'total':22s} {total / len(seeds) * 1e6:10.1f} us  "
           f"({rate:,.0f} runs/s)")
+    print(f"  {builds_line(builds)}")
     print()
 
 
@@ -151,7 +180,9 @@ def memory_profile(service: str, n_faults: int, seed: int, top: int) -> None:
     runner = repro.swifi.campaign.CampaignRunner(
         service, n_faults=n_faults, seed=seed
     )
+    builds = fastpath_builds()
     result = runner.run(workers=1)
+    built = builds_line(builds)
     held, peak = tracemalloc.get_traced_memory()
     snapshot = tracemalloc.take_snapshot().filter_traces(
         [tracemalloc.Filter(False, tracemalloc.__file__)]
@@ -161,7 +192,8 @@ def memory_profile(service: str, n_faults: int, seed: int, top: int) -> None:
 
     counts = {o.value: c for o, c in result.counter.counts.items()}
     print(f"campaign: service={service} faults={n_faults} seed={seed} "
-          f"outcomes={counts}\n")
+          f"outcomes={counts}")
+    print(f"{built}\n")
     print("memory (tracemalloc, bytes still held):")
     print(f"  after import          {imported / 1024:10.1f} KiB")
     print(f"  added by the run      {(held - imported) / 1024:10.1f} KiB")
@@ -205,6 +237,7 @@ def main(argv=None) -> int:
     runner = CampaignRunner(
         args.service, n_faults=args.faults, seed=args.seed
     )
+    builds = fastpath_builds()
     profiler = cProfile.Profile()
     profiler.enable()
     result = runner.run(workers=1)
@@ -212,7 +245,8 @@ def main(argv=None) -> int:
 
     counts = {o.value: c for o, c in result.counter.counts.items()}
     print(f"campaign: service={args.service} faults={args.faults} "
-          f"seed={args.seed} outcomes={counts}\n")
+          f"seed={args.seed} outcomes={counts}")
+    print(f"{builds_line(builds)}\n")
     stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort).print_stats(args.top)
     return 0

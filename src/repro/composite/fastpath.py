@@ -10,13 +10,23 @@ taint-free trace.  That clean path is ~100% of campaign executions (each
 run delivers at most one injection into exactly one trace) and 100% of
 webserver traffic.
 
-This module compiles a :class:`~repro.composite.machine.Trace` once into a
+This module compiles a :class:`~repro.composite.machine.Trace` into a
 single specialised Python function — straight-line direct-threaded code:
-one statement sequence per micro-op, operands and ``OP_CYCLES`` folded in
-as literals, memory bounds inlined as constants, no per-op dispatch and no
+one statement sequence per micro-op, register indices, memory bounds and
+``OP_CYCLES`` partials folded in as literals, no per-op dispatch and no
 taint tracking.  The compiled program runs against the register-value list
 and the image's ``array('I')`` words, and raises exactly the same fault
 types (and messages) as the slow path.
+
+Compiling is split in two so that its cost is paid per *shape*, not per
+trace.  Campaign traces fold seed-dependent record values into their ops,
+so most novel op tuples differ from one already seen only in immediates
+(``li``/``addi`` values, offsets, the ``chk`` magic, assertion bounds, the
+``loop`` multiplier).  Those are passed as closure cells: the generated
+source is a factory ``_factory(<fault helpers>, k0, k1, ...)`` returning
+the ``_compiled`` closure, and it is memoised under its body.  A new
+shape pays one ``builtins.compile`` (~1–2 ms); every further program of
+that shape is one factory call (microseconds) and shares its code object.
 
 The slow path remains authoritative: :func:`try_execute_fast` returns
 ``None`` whenever its preconditions do not hold (pending injection is
@@ -35,6 +45,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Optional
 
 from repro.composite.machine import (
@@ -58,25 +69,26 @@ from repro.errors import (
 #: monkeypatch this attribute to force the slow path.
 FAST_INTERP_ENABLED = os.environ.get("REPRO_FAST_INTERP", "1") != "0"
 
-#: Clean executions a trace must prove before the fast path will pay
-#: ``builtins.compile`` for a *novel* op tuple (a program-cache miss,
-#: ~1.4 ms).  Attaching an already-compiled program is nearly free, so
-#: that happens on the second clean execution regardless.  Without the
-#: higher bar, long-tail traces whose op lists are unique per cache key
-#: (seed-dependent record values folded into the ops) each burn one
-#: throwaway compile the moment a pooled system re-hits them — slower
-#: than just interpreting them forever.
+#: Clean executions a trace must prove before the fast path will build a
+#: program for a *novel* op tuple (a program-cache miss: a factory call
+#: if the shape is known, else a ~1–2 ms shape compile).  Attaching an
+#: already-built program is a dict lookup, so that happens on the second
+#: clean execution regardless.  The bar keeps one-off long-tail traces
+#: (op lists unique per cache key: seed-dependent record values folded
+#: into the ops) interpreted, and it is also the promotion policy that
+#: ``--trace`` artifacts record (``fastpath_compile`` events, ``fast``
+#: flags), so it stays fixed however cheap a build gets.
 NOVEL_COMPILE_RUNS = 8
 
 
 class FastProgram:
     """A trace compiled for one (image bounds, component) context.
 
-    The generated code folds only the image's ``base``/``size`` and the
-    component name (in fault messages) — never the image object — so a
-    program is valid for *any* image with the same bounds.  That is what
-    lets the module-level program cache below share compiles across the
-    fresh systems a SWIFI campaign builds per run.
+    A program depends only on the image's ``base``/``size`` (literals in
+    its code) and the component name (in fault messages) — never on the
+    image object — so it is valid for *any* image with the same bounds.
+    That is what lets the module-level program cache below share builds
+    across the fresh systems a SWIFI campaign builds per run.
     """
 
     __slots__ = (
@@ -108,6 +120,21 @@ class FastProgram:
 _PROGRAM_CACHE: dict = {}
 _PROGRAM_CACHE_CAPACITY = 4096
 
+#: Shape memo: generated ``_compiled`` body -> its compiled factory.  A
+#: pure cost cache — a factory call yields the same program a fresh
+#: compile would — so unlike ``_PROGRAM_CACHE`` it is never swapped out
+#: for a traced run.  Bounded FIFO, same capacity policy.
+_SHAPE_CACHE: dict = {}
+
+#: Names the fault helpers take in generated code (factory parameters).
+_HELPER_NAMES = ("_oob", "_chk_fail", "_aeq_fail", "_arange_fail", "_hang")
+
+#: Process-lifetime build counters, read by ``scripts/profile_campaign.py``
+#: and never exported into kernel stats or artifacts: ``programs`` counts
+#: FastPrograms built (program-cache misses), ``shapes`` the factories
+#: compiled for them — the only ``builtins.compile`` calls tier 2 makes.
+BUILD_COUNTS = {"programs": 0, "shapes": 0}
+
 
 @contextmanager
 def private_program_cache():
@@ -129,8 +156,12 @@ def private_program_cache():
         _PROGRAM_CACHE = shared
 
 
-def _make_fault_helpers(component_name: str) -> dict:
+@lru_cache(maxsize=256)
+def _fault_helpers(component_name: str) -> tuple:
     """Fault constructors matching the slow path's messages exactly.
+
+    Returned in ``_HELPER_NAMES`` order, and shared by every program of
+    the component (they depend on nothing but its name).
 
     The clean path carries no taint, so a stack access through a bad
     ESP/EBP can only be an untainted (recoverable) segmentation fault —
@@ -196,37 +227,34 @@ def _make_fault_helpers(component_name: str) -> dict:
             consumed, op_index,
         )
 
-    return {
-        "_oob": oob,
-        "_chk_fail": chk_fail,
-        "_aeq_fail": assert_eq_fail,
-        "_arange_fail": assert_range_fail,
-        "_hang": hang,
-    }
+    return oob, chk_fail, assert_eq_fail, assert_range_fail, hang
 
 
-def compile_trace(trace: Trace, memory, component_name: str = "?") -> FastProgram:
-    """Compile ``trace`` into a specialised clean-path function.
+def _generate(ops, base: int, end: int):
+    """Generate the body of ``_compiled`` for ``ops`` against [base, end).
 
-    ``memory`` is the :class:`~repro.composite.memory.MemoryImage` the
-    trace will execute against; its base/size are folded into the code as
-    literal bounds.  The ``words`` array is still passed per call so the
-    program survives ``micro_reboot`` (which restores words in place) and
-    transfers to any other image with the same bounds.
+    Returns ``(body, immediates, n_ops)``.  Register indices, the image
+    bounds, ``WORD_MASK``/``PAGE_SHIFT``/``HANG_LIMIT``, op indices and
+    the folded cycle partials are literals; every per-op immediate (``li``
+    and ``addi`` values, ``ld``/``st``/``chk`` offsets, the ``chk`` magic,
+    ``assert_*`` bounds, the ``loop`` multiplier) is the free variable
+    ``k<i>`` instead, bound to ``immediates[i]`` by the shape's factory.
+    So ``body`` is the trace's shape: traces that differ only in
+    immediates generate the same body and share one code object.
     """
-    cache_key = (component_name, memory.base, memory.size, tuple(trace.ops))
-    cached = _PROGRAM_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    base = memory.base
-    end = memory.base + memory.size
+    immediates = []
+
+    def imm(value) -> str:
+        immediates.append(value)
+        return f"k{len(immediates) - 1}"
+
     lines = ["def _compiled(v, w, d):"]
     emit = lines.append
     cycles = 0  # static cycle total, folded at compile time
     has_loop = False
     n_ops = 0
 
-    for op_index, op in enumerate(trace.ops):
+    for op_index, op in enumerate(ops):
         code = op[0]
         cycles += OP_CYCLES[code]
         n_ops += 1
@@ -235,16 +263,16 @@ def compile_trace(trace: Trace, memory, component_name: str = "?") -> FastProgra
         # loop op has appeared) — mirrors the slow path's accounting.
         part = f"{cycles} + cyc" if has_loop or code == "loop" else str(cycles)
         if code == "li":
-            emit(f"    v[{op[1]}] = {op[2]}")
+            emit(f"    v[{op[1]}] = {imm(op[2])}")
         elif code == "mov":
             emit(f"    v[{op[1]}] = v[{op[2]}]")
         elif code == "ld":
-            emit(f"    x = (v[{op[2]}] + {op[3]}) & {WORD_MASK}")
+            emit(f"    x = (v[{op[2]}] + {imm(op[3])}) & {WORD_MASK}")
             emit(f"    if not {base} <= x < {end}: "
                  f"_oob(x, {op[2]}, {part}, {op_index})")
             emit(f"    v[{op[1]}] = w[x - {base}]")
         elif code == "st":
-            emit(f"    x = (v[{op[2]}] + {op[3]}) & {WORD_MASK}")
+            emit(f"    x = (v[{op[2]}] + {imm(op[3])}) & {WORD_MASK}")
             emit(f"    if not {base} <= x < {end}: "
                  f"_oob(x, {op[2]}, {part}, {op_index})")
             emit(f"    x -= {base}")
@@ -253,27 +281,30 @@ def compile_trace(trace: Trace, memory, component_name: str = "?") -> FastProgra
         elif code == "add":
             emit(f"    v[{op[1]}] = (v[{op[1]}] + v[{op[2]}]) & {WORD_MASK}")
         elif code == "addi":
-            emit(f"    v[{op[1]}] = (v[{op[1]}] + {op[2]}) & {WORD_MASK}")
+            emit(f"    v[{op[1]}] = (v[{op[1]}] + {imm(op[2])}) & {WORD_MASK}")
         elif code == "xor":
             emit(f"    v[{op[1]}] ^= v[{op[2]}]")
         elif code == "chk":
-            emit(f"    x = (v[{op[1]}] + {op[2]}) & {WORD_MASK}")
+            emit(f"    x = (v[{op[1]}] + {imm(op[2])}) & {WORD_MASK}")
             emit(f"    if not {base} <= x < {end}: "
                  f"_oob(x, {op[1]}, {part}, {op_index})")
-            emit(f"    if w[x - {base}] != {op[3]}: "
-                 f"_chk_fail(x, w[x - {base}], {op[3]}, {part}, {op_index})")
+            magic = imm(op[3])
+            emit(f"    if w[x - {base}] != {magic}: "
+                 f"_chk_fail(x, w[x - {base}], {magic}, {part}, {op_index})")
         elif code == "assert_eq":
-            emit(f"    if v[{op[1]}] != {op[2]}: "
-                 f"_aeq_fail({op[1]}, v[{op[1]}], {op[2]}, {part}, {op_index})")
+            value = imm(op[2])
+            emit(f"    if v[{op[1]}] != {value}: "
+                 f"_aeq_fail({op[1]}, v[{op[1]}], {value}, {part}, {op_index})")
         elif code == "assert_range":
-            emit(f"    if not {op[2]} <= v[{op[1]}] <= {op[3]}: "
-                 f"_arange_fail({op[1]}, v[{op[1]}], {op[2]}, {op[3]}, "
+            lo, hi = imm(op[2]), imm(op[3])
+            emit(f"    if not {lo} <= v[{op[1]}] <= {hi}: "
+                 f"_arange_fail({op[1]}, v[{op[1]}], {lo}, {hi}, "
                  f"{part}, {op_index})")
         elif code == "loop":
             has_loop = True
             emit(f"    n = v[{op[1]}]")
             emit(f"    if n > {HANG_LIMIT}: _hang(n, {part}, {op_index})")
-            emit(f"    cyc += n * {op[2]}")
+            emit(f"    cyc += n * {imm(op[2])}")
         elif code == "push":
             emit(f"    x = (v[{ESP}] - 1) & {WORD_MASK}")
             emit(f"    v[{ESP}] = x")
@@ -301,14 +332,61 @@ def compile_trace(trace: Trace, memory, component_name: str = "?") -> FastProgra
 
     if has_loop:
         lines.insert(1, "    cyc = 0")
-    source = "\n".join(lines)
-    namespace = _make_fault_helpers(component_name)
-    exec(compile(source, f"<fastpath:{trace.label or component_name}>", "exec"),
-         namespace)
-    program = FastProgram(
-        namespace["_compiled"], memory.base, memory.size, component_name,
-        n_ops, len(trace.ops),
+    return "\n".join(lines), immediates, n_ops
+
+
+def _compile_shape(body: str, n_immediates: int):
+    """Compile the factory for one shape and memo it under ``body``.
+
+    ``_factory(<fault helpers>, k0, k1, ...)`` returns a fresh
+    ``_compiled`` closure over its arguments; every closure it returns
+    shares the one code object compiled here.
+    """
+    params = ", ".join(_HELPER_NAMES + tuple(
+        f"k{i}" for i in range(n_immediates)
+    ))
+    source = "\n".join(
+        [f"def _factory({params}):"]
+        + ["    " + line for line in body.split("\n")]
+        + ["    return _compiled"]
     )
+    namespace: dict = {}
+    exec(compile(source, "<fastpath>", "exec"), namespace)
+    factory = namespace["_factory"]
+    BUILD_COUNTS["shapes"] += 1
+    if len(_SHAPE_CACHE) >= _PROGRAM_CACHE_CAPACITY:
+        _SHAPE_CACHE.pop(next(iter(_SHAPE_CACHE)))
+    _SHAPE_CACHE[body] = factory
+    return factory
+
+
+def compile_trace(trace: Trace, memory, component_name: str = "?") -> FastProgram:
+    """Compile ``trace`` into a specialised clean-path function.
+
+    ``memory`` is the :class:`~repro.composite.memory.MemoryImage` the
+    trace will execute against; its base/size are folded into the code as
+    literal bounds.  The ``words`` array is still passed per call so the
+    program survives ``micro_reboot`` (which restores words in place) and
+    transfers to any other image with the same bounds.
+
+    Only a trace whose shape is new pays ``builtins.compile``; any other
+    program is one call of its shape's memoised factory.
+    """
+    cache_key = (component_name, memory.base, memory.size, tuple(trace.ops))
+    cached = _PROGRAM_CACHE.get(cache_key)
+    if cached is not None:
+        return cached
+    body, immediates, n_ops = _generate(
+        trace.ops, memory.base, memory.base + memory.size
+    )
+    factory = _SHAPE_CACHE.get(body)
+    if factory is None:
+        factory = _compile_shape(body, len(immediates))
+    program = FastProgram(
+        factory(*_fault_helpers(component_name), *immediates),
+        memory.base, memory.size, component_name, n_ops, len(trace.ops),
+    )
+    BUILD_COUNTS["programs"] += 1
     if len(_PROGRAM_CACHE) >= _PROGRAM_CACHE_CAPACITY:
         _PROGRAM_CACHE.pop(next(iter(_PROGRAM_CACHE)))
     _PROGRAM_CACHE[cache_key] = program

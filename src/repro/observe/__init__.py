@@ -15,7 +15,7 @@ building any event.  Turn it on with either
 
 * the environment: ``REPRO_TRACE=1`` (any new kernel gets a live
   :class:`~repro.observe.recorder.FlightRecorder` bound to its virtual
-  clock; ``REPRO_TRACE_CAPACITY`` overrides the ring size); or
+  clock, with a ring of ``DEFAULT_CAPACITY`` events); or
 * the API: :func:`tracing` as a context manager, used by the traced
   campaign path (``table2 --trace``/``run_full_campaign(trace=)``) so
   worker processes trace their runs regardless of the environment.
@@ -76,17 +76,6 @@ def tracing(on: bool = True):
         _forced = previous
 
 
-def ring_capacity() -> int:
-    """Ring size for new recorders (``REPRO_TRACE_CAPACITY`` override)."""
-    raw = os.environ.get("REPRO_TRACE_CAPACITY")
-    if not raw:
-        return DEFAULT_CAPACITY
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_CAPACITY
-
-
 def recorder_for(
     clock=None, capacity: Optional[int] = None
 ) -> Union[FlightRecorder, NullRecorder]:
@@ -98,4 +87,4 @@ def recorder_for(
     """
     if not tracing_enabled():
         return NULL_RECORDER
-    return FlightRecorder(clock=clock, capacity=capacity or ring_capacity())
+    return FlightRecorder(clock=clock, capacity=capacity or DEFAULT_CAPACITY)

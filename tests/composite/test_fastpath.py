@@ -11,6 +11,8 @@ every op and every fault family.
 
 from __future__ import annotations
 
+import builtins
+import functools
 import random
 
 import pytest
@@ -44,8 +46,8 @@ MAGIC = 0x5EC0FFEE
 GP_REGS = (EAX, EBX, ECX, EDX, ESI, EDI)
 
 
-def fresh_image() -> MemoryImage:
-    image = MemoryImage(BASE, WORDS)
+def fresh_image(base: int = BASE, words: int = WORDS) -> MemoryImage:
+    image = MemoryImage(base, words)
     record = image.alloc_record(MAGIC, 8)
     for off in range(1, 9):
         image.write_word(record + off, off * 3)
@@ -230,6 +232,145 @@ class TestDifferentialRandomTraces:
                 )
 
             assert injected_run(False) == injected_run(True)
+
+
+#: Operand positions of each op that are immediates rather than
+#: registers: the operands a trace's shape leaves out.
+IMMEDIATES = {
+    "li": (2,), "addi": (2,), "ld": (3,), "st": (3,), "chk": (2, 3),
+    "assert_eq": (2,), "assert_range": (2, 3), "loop": (2,),
+}
+
+
+def same_shape_sibling(trace: Trace, rng: random.Random) -> Trace:
+    """``trace`` with every immediate changed and every register kept."""
+    sibling = Trace(f"{trace.label}-sibling")
+    sibling.entry_regs = dict(trace.entry_regs)
+    for op in trace.ops:
+        op = list(op)
+        for field in IMMEDIATES.get(op[0], ()):
+            op[field] ^= rng.randrange(1, 4)
+        sibling.ops.append(tuple(op))
+    return sibling
+
+
+def slow_tier(trace, regs, image, component):
+    return execute_trace(trace, regs, image, component_name=component)
+
+
+def fast_tier(trace, regs, image, component):
+    trace._clean_runs = fastpath.NOVEL_COMPILE_RUNS  # past warm-up
+    trace._compiled = None
+    result = try_execute_fast(trace, regs, image, component)
+    assert result is not None, "fast path unexpectedly ineligible"
+    return result
+
+
+def end_state(tier, trace, make_image, component):
+    """Outcome plus, on success, register/memory/dirty-bitmap end state.
+
+    A fault is compared on type, message, the component it names and
+    the cycle accounting it carries (``cycles_consumed``, ``op_index``).
+    """
+    image = make_image()
+    regs = fresh_regs(image, trace.entry_regs)
+    try:
+        result = tier(trace, regs, image, component)
+    except SimulatedFault as fault:
+        return ("fault", type(fault).__name__, str(fault), fault.component,
+                fault.recoverable, fault.cycles_consumed, fault.op_index)
+    return (
+        ("ok", result.value, result.tainted, result.cycles,
+         result.stores_tainted),
+        list(regs.values), list(image.words), bytes(image._dirty),
+    )
+
+
+class TestSharedShapeCode:
+    """Traces that differ only in immediates share one code object.
+
+    Each random trace is compiled *after* a sibling of the same shape
+    (different immediates, different component name), so its program is
+    built from the sibling's memoised factory; both must still match the
+    slow path exactly, and so must a sibling run on an image with other
+    bounds (those are folded as literals, so a trace that touches memory
+    gets a shape of its own there: see ``TestCompileCount``).
+    """
+
+    def test_random_traces_share_code_and_match_slow_path(self):
+        rng = random.Random(0x5A9E)
+        other_bounds = functools.partial(fresh_image, BASE + 0x3000, WORDS * 2)
+        arms = set()
+        for __ in range(300):
+            trace = random_trace(rng, fresh_image())
+            sibling = same_shape_sibling(trace, rng)
+            elsewhere = same_shape_sibling(trace, rng)
+            for candidate, make_image, component in (
+                (sibling, fresh_image, "sibling"),
+                (elsewhere, other_bounds, "diff"),
+                (trace, fresh_image, "diff"),
+            ):
+                slow = end_state(slow_tier, candidate, make_image, component)
+                fast = end_state(fast_tier, candidate, make_image, component)
+                assert fast == slow
+                if slow[0] == "fault":
+                    arms.add(slow[1] if "range" not in slow[2] else "range")
+            code = trace._compiled.run.__code__
+            assert sibling._compiled.run.__code__ is code
+            assert sibling._compiled.component_name == "sibling"
+        # Every fault helper the generated code calls was exercised.
+        assert arms >= {
+            "SegmentationFault", "CorruptionDetected", "AssertionFault",
+            "range", "SystemHang",
+        }
+
+
+class TestCompileCount:
+    def _counted(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "_PROGRAM_CACHE", {})
+        monkeypatch.setattr(fastpath, "_SHAPE_CACHE", {})
+        sources = []
+
+        def counting(source, *args, **kwargs):
+            sources.append(source)
+            return builtins.compile(source, *args, **kwargs)
+
+        monkeypatch.setattr(fastpath, "compile", counting, raising=False)
+        return sources
+
+    @staticmethod
+    def _trace(i: int) -> Trace:
+        trace = Trace(f"same{i}")
+        trace.entry_regs = {EAX: BASE + 16}
+        trace.li(EBX, i).addi(EBX, 3 * i).ld(ECX, EAX, 1 + i % 8)
+        trace.st(EBX, EAX, 1 + i % 8).chk(EAX, 0, MAGIC)
+        trace.assert_range(EBX, 0, 4 * i).li(ESI, i).loop(ESI, 1 + i % 3)
+        trace.add(EBX, ECX).ret(EBX)
+        return trace
+
+    def test_same_shape_traces_compile_once(self, monkeypatch):
+        sources = self._counted(monkeypatch)
+        before = dict(fastpath.BUILD_COUNTS)
+        image = fresh_image()
+        programs = [compile_trace(self._trace(i), image, "t") for i in range(20)]
+        assert len(sources) == 1
+        assert len({program.run.__code__ for program in programs}) == 1
+        assert fastpath.BUILD_COUNTS["programs"] - before["programs"] == 20
+        assert fastpath.BUILD_COUNTS["shapes"] - before["shapes"] == 1
+        for i, program in enumerate(programs):
+            image = fresh_image()
+            regs = fresh_regs(image, {EAX: BASE + 16})
+            value, __ = program.run(regs.values, image.words, image._dirty)
+            assert value == 4 * i + (1 + i % 8) * 3
+        # A program-cache hit builds nothing at all.
+        assert compile_trace(self._trace(1), image, "t") is programs[1]
+        assert fastpath.BUILD_COUNTS["programs"] - before["programs"] == 20
+
+    def test_new_bounds_are_a_new_shape(self, monkeypatch):
+        sources = self._counted(monkeypatch)
+        compile_trace(self._trace(1), fresh_image(), "t")
+        compile_trace(self._trace(2), fresh_image(BASE + 0x1000), "t")
+        assert len(sources) == 2
 
 
 class TestEligibility:

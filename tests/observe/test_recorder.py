@@ -4,7 +4,6 @@ import pytest
 
 from repro import observe
 from repro.observe import (
-    DEFAULT_CAPACITY,
     NULL_RECORDER,
     EventSchemaError,
     FlightRecorder,
@@ -28,7 +27,6 @@ class FakeClock:
 def _env_gate_off(monkeypatch):
     """Run every test against the default (disabled) environment gate."""
     monkeypatch.delenv("REPRO_TRACE", raising=False)
-    monkeypatch.delenv("REPRO_TRACE_CAPACITY", raising=False)
 
 
 class TestDisabledMode:
@@ -86,13 +84,6 @@ class TestGating:
         recorder = system.kernel.recorder
         assert isinstance(recorder, FlightRecorder)
         assert recorder.clock is system.kernel.clock
-
-    def test_capacity_env_override(self, monkeypatch):
-        assert observe.ring_capacity() == DEFAULT_CAPACITY
-        monkeypatch.setenv("REPRO_TRACE_CAPACITY", "64")
-        assert observe.ring_capacity() == 64
-        monkeypatch.setenv("REPRO_TRACE_CAPACITY", "junk")
-        assert observe.ring_capacity() == DEFAULT_CAPACITY
 
 
 class TestRing:

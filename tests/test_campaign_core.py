@@ -70,8 +70,12 @@ def test_serial_and_parallel_artifacts_byte_identical(
 def test_traced_run_ignores_earlier_runs_in_the_process(monkeypatch):
     # The compiled-program memo is process-wide; a traced run's record
     # (fastpath_compile events, fast flags, fast-run counters) must not
-    # depend on what earlier runs of the same worker left in it.
+    # depend on what earlier runs of the same worker left in it.  The
+    # shape memo is never swapped out: the second traced run builds its
+    # programs from the shapes the earlier runs compiled, and must still
+    # record exactly what the cold run did.
     monkeypatch.setattr(fastpath, "_PROGRAM_CACHE", {})
+    monkeypatch.setattr(fastpath, "_SHAPE_CACHE", {})
     spec = web_campaign.WebRunSpec(
         n_requests=40, n_faults=2, arrivals="open", load=1.5,
         phases="burst",
@@ -80,7 +84,12 @@ def test_traced_run_ignores_earlier_runs_in_the_process(monkeypatch):
     for seed in web_campaign.web_run_seeds(3, 3):
         web_campaign.execute_web_run(spec, seed)
     assert fastpath._PROGRAM_CACHE, "untraced runs left the memo cold"
+    before = dict(fastpath.BUILD_COUNTS)
     assert web_campaign.execute_web_run_traced(spec, 3_000_010) == cold
+    assert fastpath.BUILD_COUNTS["programs"] > before["programs"]
+    assert fastpath.BUILD_COUNTS["shapes"] == before["shapes"], (
+        "the traced run compiled a shape the warm memo already held"
+    )
 
 
 # ---------------------------------------------------------------------------
