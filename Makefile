@@ -18,25 +18,30 @@ lint:
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only -s
 
+# Every gate below runs one checker, scripts/check_baseline.py ARTIFACT
+# BASELINE, whose rules come from the committed baseline file itself.
+CHECK = $(PY) scripts/check_baseline.py
+BASELINES = benchmarks/baselines
+
 # Interpreter + campaign throughput, each gated against its committed
 # baseline (absolute rates with a wide tolerance plus a machine-
-# independent ratio floor).
+# independent ratio floor), then the exact open-loop sweep.
 perf:
 	$(PY) benchmarks/bench_interp_throughput.py --json /tmp/interp_throughput.json
-	$(PY) scripts/check_interp_baseline.py /tmp/interp_throughput.json
+	$(CHECK) /tmp/interp_throughput.json $(BASELINES)/interp_throughput.json
 	$(PY) benchmarks/bench_campaign_throughput.py --json /tmp/campaign_throughput.json
-	$(PY) scripts/check_campaign_baseline.py /tmp/campaign_throughput.json
+	$(CHECK) /tmp/campaign_throughput.json $(BASELINES)/campaign_throughput.json
 	$(PY) benchmarks/bench_fig7_webserver.py --json /tmp/fig7_webserver.json
-	$(PY) scripts/check_fig7_baseline.py /tmp/fig7_webserver.json
+	$(CHECK) /tmp/fig7_webserver.json $(BASELINES)/fig7_webserver.json
 	$(PY) benchmarks/bench_fig7_webserver.py --openloop --json /tmp/fig7_openloop.json
-	$(PY) scripts/check_fig7_openloop.py /tmp/fig7_openloop.json
+	$(CHECK) /tmp/fig7_openloop.json $(BASELINES)/fig7_openloop.json
 
 # Campaign throughput in one command: fresh-build vs pooled (the two
 # sweeps of bench_campaign_throughput.py, outcome-identity asserted),
 # gated against the committed baseline's pooled/fresh ratio floor.
 throughput:
 	$(PY) benchmarks/bench_campaign_throughput.py --json /tmp/campaign_throughput.json
-	$(PY) scripts/check_campaign_baseline.py /tmp/campaign_throughput.json
+	$(CHECK) /tmp/campaign_throughput.json $(BASELINES)/campaign_throughput.json
 
 # cProfile over a small campaign; SERVICE/FAULTS/SORT overridable.
 # MEMORY=1 swaps in the tracemalloc memory view of the same campaign.
@@ -59,16 +64,16 @@ campaign:
 
 # One 50-fault smoke column per fault class, each checked against its
 # committed baseline — the local equivalent of the nightly
-# `fault-classes` CI job.
+# `fault-classes` CI job; the reg column's baseline is also the one the
+# nightly `campaign` job and the per-PR `perf-smoke` job check.
 fault-classes:
 	workers=$(WORKERS); [ "$$workers" = "0" ] && workers=$$(nproc); \
 	for fc in reg mem idl burst; do \
 		PYTHONPATH=src $(PY) -m repro table2 --fault-class $$fc \
 			--faults 50 --seed 1 --workers $$workers \
 			--json /tmp/table2_$${fc}_smoke.json || exit 1; \
-		$(PY) scripts/check_table2_baseline.py \
-			/tmp/table2_$${fc}_smoke.json \
-			benchmarks/baselines/table2_$${fc}_smoke.json || exit 1; \
+		$(CHECK) /tmp/table2_$${fc}_smoke.json \
+			$(BASELINES)/table2_$${fc}_smoke.json || exit 1; \
 	done
 
 # Simulated multi-node cluster campaign, checked against its committed
@@ -82,8 +87,7 @@ cluster:
 	PYTHONPATH=src $(PY) -m repro cluster --nodes $(NODES) \
 		--faults $(KILLS) --seeds $(CLUSTER_SEEDS) --units $(UNITS) \
 		--seed 7 --workers $(WORKERS) --json /tmp/cluster_smoke.json
-	$(PY) scripts/check_cluster_baseline.py /tmp/cluster_smoke.json \
-		benchmarks/baselines/cluster_smoke.json
+	$(CHECK) /tmp/cluster_smoke.json $(BASELINES)/cluster_smoke.json
 
 fig7:
 	$(PY) -m repro fig7 --requests 2000
@@ -98,7 +102,7 @@ fig7-campaign:
 # baseline — the local equivalent of the `fig7-openloop` CI job.
 fig7-openloop:
 	$(PY) benchmarks/bench_fig7_webserver.py --openloop --json /tmp/fig7_openloop.json
-	$(PY) scripts/check_fig7_openloop.py /tmp/fig7_openloop.json
+	$(CHECK) /tmp/fig7_openloop.json $(BASELINES)/fig7_openloop.json
 
 examples:
 	$(PY) examples/quickstart.py

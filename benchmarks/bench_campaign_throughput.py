@@ -4,18 +4,20 @@
 Two measurements:
 
 * **campaign runs/sec** — the lock-service smoke campaign executed
-  twice through the real per-run driver (``_drive_run``): with
-  ``REPRO_SYSTEM_POOL=0`` (the old build-a-system-per-run behaviour)
-  and pooled.  Outcomes are asserted identical across both sweeps — the
-  speedup is only meaningful if the pooled path is bit-exact.
+  twice through the campaign-core protocol (:func:`pooled_vs_fresh`,
+  which the Fig. 7 web-campaign bench shares): with
+  ``REPRO_SYSTEM_POOL=0`` (build a system per run) and pooled.  Rows
+  are asserted identical across both sweeps — the speedup is only
+  meaningful if the pooled path is bit-exact.
 * **micro-reboot restore cost** — wall time of one ``MemoryImage``
   restore when a run dirtied a handful of pages (the SWIFI steady state)
   versus every page (the worst case, equivalent to the old whole-image
   memcpy).
 
 Standalone: ``python benchmarks/bench_campaign_throughput.py --json out.json``.
-``scripts/check_campaign_baseline.py`` gates CI on the committed baseline
-in ``benchmarks/baselines/campaign_throughput.json``.
+``python scripts/check_baseline.py out.json
+benchmarks/baselines/campaign_throughput.json`` gates CI on the
+committed baseline.
 """
 
 from __future__ import annotations
@@ -30,68 +32,64 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.composite.memory import PAGE_WORDS, MemoryImage  # noqa: E402
-from repro.swifi.campaign import CampaignRunner, _drive_run  # noqa: E402
-from repro.system import GLOBAL_POOL  # noqa: E402
+from repro.swifi.campaign import CampaignRunner  # noqa: E402
+from repro.system import compile_all_interfaces  # noqa: E402
 
 BASE = 0x0100_0000
-
-
-def _timed_sweep(spec, seeds) -> tuple:
-    """Execute every seed serially in-process; returns (elapsed, outcomes)."""
-    start = time.perf_counter()
-    outcomes = [_drive_run(spec, seed)[0].value for seed in seeds]
-    return time.perf_counter() - start, outcomes
 
 
 #: (label, REPRO_SYSTEM_POOL) per sweep.
 SWEEPS = (("fresh", "0"), ("pooled", "1"))
 
 
-def measure_campaign(n_faults: int, repeat: int = 3) -> dict:
-    """Runs/sec of the smoke campaign: fresh-build vs pooled."""
-    runner = CampaignRunner("lock", n_faults=n_faults, seed=1)
-    spec = runner.spec()
-    seeds = runner.run_seeds()
+def pooled_vs_fresh(spec, seeds, repeat: int = 3) -> tuple:
+    """Runs/sec of ``seeds`` through a campaign spec, fresh-build vs pooled.
+
+    Each sweep executes every seed serially in-process through the
+    campaign-core protocol (``spec.warm``, then ``spec.execute`` per
+    seed) and keeps the best of ``repeat`` wall times.  IDL compile and
+    the pooled boot + seal stay outside the timed region, as in a
+    campaign worker's initializer.  Rows must be equal across repeats
+    and across both sweeps: the speedup is only meaningful if the pooled
+    path is bit-exact.  Returns ``(results, rows)``.
+    """
+    compile_all_interfaces()
     saved = os.environ.get("REPRO_SYSTEM_POOL")
+    best, rows = {}, None
     try:
-        results = {}
         for label, pool_gate in SWEEPS:
             os.environ["REPRO_SYSTEM_POOL"] = pool_gate
-            if pool_gate == "1":
-                # Boot + seal outside the timed region, as the campaign
-                # worker initializer does.
-                GLOBAL_POOL.acquire(
-                    ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode
-                )
-            best, outcomes = float("inf"), None
+            spec.warm(False)
             for __ in range(repeat):
-                elapsed, sweep = _timed_sweep(spec, seeds)
-                best = min(best, elapsed)
-                if outcomes is None:
-                    outcomes = sweep
-                elif sweep != outcomes:
+                start = time.perf_counter()
+                sweep = [spec.execute(seed, None, False)[0] for seed in seeds]
+                elapsed = time.perf_counter() - start
+                best[label] = min(best.get(label, elapsed), elapsed)
+                if rows is None:
+                    rows = sweep
+                elif sweep != rows:
                     raise AssertionError(
-                        f"{label} sweep outcomes changed between repeats"
+                        f"{label} sweep rows diverge from the first "
+                        f"sweep's: runs are not deterministic or the pooled "
+                        f"path is not bit-exact — do not trust the speedup"
                     )
-            results[label] = (best, outcomes)
     finally:
         if saved is None:
             os.environ.pop("REPRO_SYSTEM_POOL", None)
         else:
             os.environ["REPRO_SYSTEM_POOL"] = saved
-    fresh_time, fresh_outcomes = results["fresh"]
-    pooled_time, pooled_outcomes = results["pooled"]
-    if pooled_outcomes != fresh_outcomes:
-        raise AssertionError(
-            "pooled sweep outcomes diverge from fresh-build outcomes; "
-            "the pooled path is not bit-exact — do not trust the speedup"
-        )
     return {
         "campaign_runs": len(seeds),
-        "fresh_runs_per_sec": len(seeds) / fresh_time,
-        "pooled_runs_per_sec": len(seeds) / pooled_time,
-        "pooled_over_fresh": fresh_time / pooled_time,
-    }
+        "fresh_runs_per_sec": len(seeds) / best["fresh"],
+        "pooled_runs_per_sec": len(seeds) / best["pooled"],
+        "pooled_over_fresh": best["fresh"] / best["pooled"],
+    }, rows
+
+
+def measure_campaign(n_faults: int, repeat: int = 3) -> dict:
+    """Runs/sec of the lock smoke campaign: fresh-build vs pooled."""
+    runner = CampaignRunner("lock", n_faults=n_faults, seed=1)
+    return pooled_vs_fresh(runner.spec(), runner.run_seeds(), repeat)[0]
 
 
 def measure_restore(repeat: int = 200) -> dict:

@@ -9,22 +9,22 @@ numbers differ (virtual time); the *relative* shape is the target.
 
 Standalone mode (``python benchmarks/bench_fig7_webserver.py --json
 out.json``) measures the *campaign engine* instead: wall-clock runs/sec
-of a multi-seed faulted web-server sweep through ``execute_web_run``,
-pooled vs fresh-build-per-seed, with rows asserted identical between the
-two.  ``scripts/check_fig7_baseline.py`` gates CI on the committed
-baseline in ``benchmarks/baselines/fig7_webserver.json``.  The sweep
-uses deliberately short runs (a few dozen requests): per-run fixed costs
-— system boot, trace-cache and fast-path warmup — are what pooling
-amortizes, and long request streams would bury them in steady-state
-serving time that pooling cannot (and should not) change.
+of a multi-seed faulted web-server sweep, pooled vs fresh-build-per-seed
+(the campaign bench's :func:`pooled_vs_fresh`), with rows asserted
+identical between the two.  ``scripts/check_baseline.py`` gates CI on
+the committed baseline in ``benchmarks/baselines/fig7_webserver.json``.
+The sweep uses deliberately short runs (a few dozen requests): per-run
+fixed costs — system boot, trace-cache and fast-path warmup — are what
+pooling amortizes, and long request streams would bury them in
+steady-state serving time that pooling cannot (and should not) change.
 
 Open-loop mode (``--openloop --json out.json``) sweeps offered load
 against goodput and tail latency: the same heavy-tailed burst arrival
 schedule replayed at multipliers of the service's estimated capacity,
 with SWIFI faults injected mid-stream at every point.  Unlike the
 wall-clock gates above, every number here is a virtual-time outcome —
-a pure function of (spec, seed) — so ``scripts/check_fig7_openloop.py``
-compares the committed baseline in
+a pure function of (spec, seed) — so ``scripts/check_baseline.py``
+compares it with the committed baseline in
 ``benchmarks/baselines/fig7_openloop.json`` exactly (integers) or to a
 last-ulp epsilon (floats).
 """
@@ -33,24 +33,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import pytest  # noqa: E402
+from bench_campaign_throughput import pooled_vs_fresh  # noqa: E402
 
 from repro.composite.scheduler import CYCLES_PER_US  # noqa: E402
-from repro.system import GLOBAL_POOL, compile_all_interfaces  # noqa: E402
 from repro.webserver.apache_model import ApacheModel  # noqa: E402
 from repro.webserver.arrivals import offered_rps  # noqa: E402
 from repro.webserver.campaign import (  # noqa: E402
     WebRunSpec,
     aggregate_rows,
     execute_web_run,
-    prepare_webserver,
     web_run_seeds,
 )
 from repro.webserver.loadgen import run_webserver  # noqa: E402
@@ -133,68 +130,17 @@ def test_fig7_shape(benchmark):
 # Standalone campaign-throughput benchmark (pooled vs fresh per seed)
 # ---------------------------------------------------------------------------
 
-def _timed_sweep(spec: WebRunSpec, seeds) -> tuple:
-    """Execute every seed serially in-process; returns (elapsed, rows)."""
-    start = time.perf_counter()
-    rows = [execute_web_run(spec, seed) for seed in seeds]
-    return time.perf_counter() - start, rows
-
-
 def measure_web_campaign(n_seeds: int, repeat: int = 3) -> dict:
     """Web-campaign runs/sec, pooled vs fresh-build-per-seed.
 
     Short probe runs (40 requests, 2 faults) keep per-run fixed costs —
-    the thing pooling removes — visible against serving time.  Rows are
-    asserted identical across the two sweeps: the speedup is only
-    meaningful if the pooled path is bit-exact.
+    the thing pooling removes — visible against serving time.
     """
-    spec = WebRunSpec(n_requests=40, n_faults=2)
-    seeds = web_run_seeds(1, n_seeds)
-    compile_all_interfaces()  # both sweeps start with warm IDL compiles
-    saved = os.environ.get("REPRO_SYSTEM_POOL")
-    try:
-        results = {}
-        for label, gate in (("fresh", "0"), ("pooled", "1")):
-            os.environ["REPRO_SYSTEM_POOL"] = gate
-            if gate == "1":
-                # Boot + seal outside the timed region, as the campaign
-                # worker initializer does.
-                GLOBAL_POOL.acquire(
-                    ft_mode=spec.ft_mode,
-                    recovery_mode=spec.recovery_mode,
-                    prepare=prepare_webserver,
-                )
-            best, rows = float("inf"), None
-            for __ in range(repeat):
-                elapsed, sweep = _timed_sweep(spec, seeds)
-                best = min(best, elapsed)
-                if rows is None:
-                    rows = sweep
-                elif sweep != rows:
-                    raise AssertionError(
-                        f"{label} sweep rows changed between repeats"
-                    )
-            results[label] = (best, rows)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SYSTEM_POOL", None)
-        else:
-            os.environ["REPRO_SYSTEM_POOL"] = saved
-    fresh_time, fresh_rows = results["fresh"]
-    pooled_time, pooled_rows = results["pooled"]
-    if pooled_rows != fresh_rows:
-        raise AssertionError(
-            "pooled sweep rows diverge from fresh-build rows; the pool "
-            "is not bit-exact — do not trust the speedup"
-        )
-    served = sum(row["served"] for row in fresh_rows)
-    return {
-        "campaign_runs": len(seeds),
-        "requests_served": served,
-        "fresh_runs_per_sec": len(seeds) / fresh_time,
-        "pooled_runs_per_sec": len(seeds) / pooled_time,
-        "pooled_over_fresh": fresh_time / pooled_time,
-    }
+    results, rows = pooled_vs_fresh(
+        WebRunSpec(n_requests=40, n_faults=2), web_run_seeds(1, n_seeds),
+        repeat,
+    )
+    return {**results, "requests_served": sum(r["served"] for r in rows)}
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ SWIFI run and webserver request funnels through:
   campaign throughput scales with.
 
 Standalone: ``python benchmarks/bench_interp_throughput.py --json out.json``.
-``scripts/check_interp_baseline.py`` gates CI on the committed baseline in
-``benchmarks/baselines/interp_throughput.json``.
+``python scripts/check_baseline.py out.json
+benchmarks/baselines/interp_throughput.json`` gates CI on the committed
+baseline.
 """
 
 from __future__ import annotations

@@ -531,8 +531,9 @@ def format_table2(results: List[CampaignResult]) -> str:
 def write_table2_json(results: List[CampaignResult], path: str) -> None:
     """Emit the machine-readable Table II artifact: one dict per row.
 
-    This is the format the nightly campaign workflow uploads and checks
-    against ``benchmarks/baselines/table2_smoke.json``.  Wall-clock
+    This is the format the campaign workflows upload and
+    ``scripts/check_baseline.py`` checks against
+    ``benchmarks/baselines/table2_<class>_smoke.json``.  Wall-clock
     timings are machine-dependent, so they go to a ``.timing.json``
     sidecar — the main artifact stays bit-identical across machines,
     worker counts, and pooling modes.
