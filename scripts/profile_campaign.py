@@ -21,8 +21,13 @@ numbers cover the actual work instead of pool plumbing):
 under ``tracemalloc``: the bytes still held after importing the three
 campaign layers against the bytes the campaign added on top, the
 process's peak RSS (``ru_maxrss``), which process-pool modules got
-loaded, and the top allocation sites by line of everything still held
-at the end.  That is the tool that sized the sparse good images.
+loaded, the live component images, and the top allocation sites by
+line of everything still held at the end.  That is the tool that sized
+the sparse good images.  An image's live words are a private anonymous
+mapping, which ``tracemalloc`` does not see, so the images get their own
+line: how many are live, the KiB they map, and the OS pages written
+since each was created (demand-zero, so those are the pages the kernel
+had to back).
 
 Every view also prints how many tier-2 fast-path programs the campaign
 built and how many trace shapes it compiled for them (module counters in
@@ -37,6 +42,8 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
+import mmap
 import pstats
 import resource
 import sys
@@ -69,6 +76,20 @@ def builds_line(before: dict) -> str:
         "fast-path programs built / shapes compiled: "
         f"{now['programs'] - before['programs']} / "
         f"{now['shapes'] - before['shapes']}"
+    )
+
+
+def image_footprint() -> str:
+    """Live ``MemoryImage`` count, mapped KiB and written OS pages."""
+    from repro.composite.memory import MemoryImage
+
+    gc.collect()  # count reachable images only, not pending garbage
+    images = [obj for obj in gc.get_objects() if isinstance(obj, MemoryImage)]
+    mapped = sum(4 * image.size for image in images)
+    written = sum(image.written_os_pages for image in images)
+    return (
+        f"{len(images)} live, {mapped / 1024:.1f} KiB mapped, "
+        f"{written} OS pages written ({written * mmap.PAGESIZE / 1024:.1f} KiB)"
     )
 
 
@@ -188,6 +209,7 @@ def memory_profile(service: str, n_faults: int, seed: int, top: int) -> None:
         [tracemalloc.Filter(False, tracemalloc.__file__)]
     )
     tracemalloc.stop()
+    images = image_footprint()
     maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     counts = {o.value: c for o, c in result.counter.counts.items()}
@@ -199,6 +221,7 @@ def memory_profile(service: str, n_faults: int, seed: int, top: int) -> None:
     print(f"  added by the run      {(held - imported) / 1024:10.1f} KiB")
     print(f"  traced peak           {peak / 1024:10.1f} KiB")
     print(f"  ru_maxrss             {maxrss_kb / 1024:10.1f} MiB")
+    print(f"  images (untraced)     {images}")
     loaded = [name for name in POOL_MODULES if name in sys.modules]
     print(f"  process-pool modules  {', '.join(loaded) or 'none loaded'}")
     print(f"\ntop {top} allocation sites by line (held at the end):")

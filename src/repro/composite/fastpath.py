@@ -15,8 +15,8 @@ single specialised Python function — straight-line direct-threaded code:
 one statement sequence per micro-op, register indices, memory bounds and
 ``OP_CYCLES`` partials folded in as literals, no per-op dispatch and no
 taint tracking.  The compiled program runs against the register-value list
-and the image's ``array('I')`` words, and raises exactly the same fault
-types (and messages) as the slow path.
+and the image's 32-bit word view (``MemoryImage.words``), and raises
+exactly the same fault types (and messages) as the slow path.
 
 Compiling is split in two so that its cost is paid per *shape*, not per
 trace.  Campaign traces fold seed-dependent record values into their ops,
@@ -365,7 +365,7 @@ def compile_trace(trace: Trace, memory, component_name: str = "?") -> FastProgra
 
     ``memory`` is the :class:`~repro.composite.memory.MemoryImage` the
     trace will execute against; its base/size are folded into the code as
-    literal bounds.  The ``words`` array is still passed per call so the
+    literal bounds.  The ``words`` view is still passed per call so the
     program survives ``micro_reboot`` (which restores words in place) and
     transfers to any other image with the same bounds.
 

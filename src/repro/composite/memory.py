@@ -12,19 +12,26 @@ The image supports the booter's micro-reboot: after a component initialises,
 :meth:`MemoryImage.freeze_good_image` snapshots the words ("a good image");
 :meth:`MemoryImage.micro_reboot` memcpys it back (Section II-C step 3).
 
-Both the good image and the taint map are sparse.  The good image is a
-``{page: array}`` holding only the pages that are non-zero when frozen;
-every other page restores from one shared, module-level zero page.  A
-freeze rescans only the pages written since the last freeze or restore
-(the dirty bitmap), so its cost follows what initialisation touched,
-not the image size.  Taint is a ``set`` of word indices: it only ever
-comes from an injected bit flip, and is empty on almost every run.  The
-live ``words`` stay a dense ``array('I')``, since the compiled fast path
-indexes them directly.
+The live words, the good image and the taint map are all sparse.  The
+live ``words`` are a word-indexed ``memoryview`` over a private anonymous
+mapping: demand-zero, so the kernel backs an OS page only once it is
+first written, and an image costs resident memory for the header,
+record and stack pages a run touches, not for its full size.  The
+mapping is ``MAP_PRIVATE``, so a forked campaign worker inherits the
+images copy-on-write and never writes into its parent's.  The compiled
+fast path indexes the view exactly as it would an ``array('I')``.  The
+good image is a ``{page: array}`` holding copies of only the pages that
+are non-zero when frozen; every other page restores from one shared,
+module-level zero page.  A freeze rescans only the pages written since
+the last freeze or restore (the dirty bitmap), so its cost follows what
+initialisation touched, not the image size.  Taint is a ``set`` of word
+indices: it only ever comes from an injected bit flip, and is empty on
+almost every run.
 """
 
 from __future__ import annotations
 
+import mmap
 from array import array
 from typing import Dict, List, Optional, Set
 
@@ -52,8 +59,14 @@ PAGE_WORDS = 1 << PAGE_SHIFT
 INITIAL_ALLOC_PTR = 16
 
 #: The one all-zero page every image restores its never-written pages
-#: from.  Read-only: it is only ever the source of a copy.
-_ZERO_PAGE = array("I", bytes(4 * PAGE_WORDS))
+#: from and zeroes freed blocks through.  A read-only view over
+#: ``bytes``: slicing it allocates no words, and it is only ever the
+#: source of a copy.
+_ZERO_PAGE = memoryview(bytes(4 * PAGE_WORDS)).cast("I")
+
+#: Dirty-tracking pages per OS page, the unit in which the kernel backs
+#: the demand-zero ``words`` mapping.
+_PAGES_PER_OS_PAGE = max(mmap.PAGESIZE // (4 * PAGE_WORDS), 1)
 
 
 class MemoryImage:
@@ -62,9 +75,11 @@ class MemoryImage:
     Attributes:
         base: lowest valid address.
         size: number of words.
-        words: backing store — a compact ``array('I')`` so the fast-path
-            interpreter indexes raw 32-bit words instead of boxed list
-            entries.
+        words: backing store — a ``memoryview`` of raw 32-bit words
+            (format ``'I'``) over a private, demand-zero anonymous
+            mapping, so the fast-path interpreter indexes unboxed words
+            and untouched pages cost no resident memory.  Slicing it
+            yields a view, not a copy.
     """
 
     def __init__(self, base: int, size: int = DEFAULT_IMAGE_WORDS):
@@ -72,7 +87,9 @@ class MemoryImage:
             raise ReproError("image base must be page aligned")
         self.base = base & WORD_MASK
         self.size = size
-        self.words: array = array("I", bytes(4 * size))
+        self.words: memoryview = memoryview(
+            mmap.mmap(-1, 4 * size, flags=mmap.MAP_PRIVATE)
+        ).cast("I")
         #: Indices of tainted words: the fast-path interpreter is only
         #: eligible while this set is empty.
         self._taint: Set[int] = set()
@@ -81,6 +98,9 @@ class MemoryImage:
         #: write, so tainted words always lie on dirty pages — restoring
         #: the dirty pages provably clears all taint.
         self._dirty: bytearray = bytearray((size + PAGE_WORDS - 1) >> PAGE_SHIFT)
+        #: Pages dirtied before the last freeze/restore: with ``_dirty``,
+        #: every page written since the image was created.
+        self._written: bytearray = bytearray(len(self._dirty))
         self._alloc_ptr = INITIAL_ALLOC_PTR  # low words reserved (header)
         #: The good image's non-zero pages; ``None`` until frozen.
         self._good_pages: Optional[Dict[int, array]] = None
@@ -141,13 +161,17 @@ class MemoryImage:
     def free(self, addr: int, nwords: int) -> None:
         """Zero a freed block and recycle it onto the size's free list.
 
-        Zeroing goes through slice assignment (not a per-word
-        ``write_word`` loop): one memset-style store for the words; the
-        block's words also leave the taint set.
+        Zeroing goes through slice assignment from the shared zero page
+        (not a per-word ``write_word`` loop), at most a page per store
+        and with no temporary; the block's words also leave the taint
+        set.
         """
         start = addr - self.base
         end = start + nwords
-        self.words[start:end] = array("I", bytes(4 * nwords))
+        words = self.words
+        for lo in range(start, end, PAGE_WORDS):
+            hi = min(lo + PAGE_WORDS, end)
+            words[lo:hi] = _ZERO_PAGE[:hi - lo]
         taint = self._taint
         if taint:
             taint.difference_update(
@@ -188,6 +212,19 @@ class MemoryImage:
         dirty = self._dirty
         return [page for page in range(len(dirty)) if dirty[page]]
 
+    @property
+    def written_os_pages(self) -> int:
+        """OS pages of ``words`` written since the image was created.
+
+        The live words are demand-zero, so these are the pages the
+        kernel has had to back: the image's resident footprint.
+        """
+        written, dirty = self._written, self._dirty
+        return len({
+            page // _PAGES_PER_OS_PAGE
+            for page in range(len(dirty)) if written[page] or dirty[page]
+        })
+
     def modified_word_offsets(self, page: int) -> List[int]:
         """Word offsets in ``page`` whose value differs from the good image.
 
@@ -214,9 +251,10 @@ class MemoryImage:
         good = self._good_pages
         if good is None:
             raise ReproError("no good image frozen; cannot restore")
-        words = self.words
+        words, written = self.words, self._written
         pages = self.dirty_page_indices()
         for page in pages:
+            written[page] = 1
             lo = page << PAGE_SHIFT
             hi = min(lo + PAGE_WORDS, self.size)
             words[lo:hi] = good.get(page) or _ZERO_PAGE[:hi - lo]
@@ -231,14 +269,17 @@ class MemoryImage:
         Only pages written since the last freeze or restore can differ
         from the current good image (before the first freeze: from
         zero), so only those are rescanned.  Each one is kept as a copy
-        when non-zero and dropped when it reads as the zero page.
+        (an ``array``: a slice of ``words`` is a view that later writes
+        would show through) when non-zero and dropped when it reads as
+        the zero page.
         """
         good = self._good_pages
         if good is None:
             good = self._good_pages = {}
         for page in self.dirty_page_indices():
+            self._written[page] = 1
             lo = page << PAGE_SHIFT
-            copy = self.words[lo:min(lo + PAGE_WORDS, self.size)]
+            copy = array("I", self.words[lo:min(lo + PAGE_WORDS, self.size)])
             if copy == _ZERO_PAGE[:len(copy)]:
                 good.pop(page, None)
             else:

@@ -1,5 +1,7 @@
 """Dirty-page tracking and O(dirty) restore for memory images."""
 
+from array import array
+
 import pytest
 
 from repro.composite.memory import (
@@ -83,7 +85,7 @@ class TestRestore:
         # The O(dirty) restore must be indistinguishable from the old
         # whole-image memcpy.
         image, __ = frozen
-        reference = image.words[:]
+        reference = array("I", image.words)  # a copy: a slice is a view
         for index in (0, 17, PAGE_WORDS + 3, SIZE - 1):
             image.write_word(BASE + index, 0xFFFF_FFFF, tainted=(index == 17))
         image.restore()

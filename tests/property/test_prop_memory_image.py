@@ -7,10 +7,11 @@ representation instead — a full copy of the words as the good image and
 a ``bytearray`` of per-word taint bits with a separate count — and
 random operation sequences must leave both models indistinguishable
 through every observable: words, tainted words, dirty pages, the words
-that differ from the good image, pristineness, allocation addresses and
-restore page counts.
+that differ from the good image, pristineness, allocation addresses,
+restore page counts and the OS pages written since creation.
 """
 
+import mmap
 from array import array
 
 import pytest
@@ -29,6 +30,9 @@ from repro.system import build_system
 
 BASE = 0x0300_0000
 
+#: Dirty-tracking pages per OS page.
+PAGES_PER_OS_PAGE = max(mmap.PAGESIZE // (4 * PAGE_WORDS), 1)
+
 
 class DenseImage:
     """Reference model: full-copy good image, per-word taint bytes."""
@@ -39,6 +43,7 @@ class DenseImage:
         self.taint = bytearray(size)
         self.taint_count = 0
         self.dirty = bytearray((size + PAGE_WORDS - 1) >> PAGE_SHIFT)
+        self.written = set()
         self.alloc_ptr = INITIAL_ALLOC_PTR
         self.good_words = None
         self.good_alloc_ptr = None
@@ -47,6 +52,7 @@ class DenseImage:
     def write_word(self, index: int, value: int, tainted: bool) -> None:
         self.words[index] = value & WORD_MASK
         self.dirty[index >> PAGE_SHIFT] = 1
+        self.written.add(index >> PAGE_SHIFT)
         if tainted and not self.taint[index]:
             self.taint[index] = 1
             self.taint_count += 1
@@ -71,6 +77,7 @@ class DenseImage:
         self.taint[index:end] = bytes(nwords)
         for page in range(index >> PAGE_SHIFT, ((end - 1) >> PAGE_SHIFT) + 1):
             self.dirty[page] = 1
+            self.written.add(page)
         self.free_lists.setdefault(nwords, []).append(index)
 
     def freeze(self) -> None:
@@ -188,13 +195,16 @@ def _check(image: MemoryImage, dense: DenseImage) -> None:
         )
     assert image.is_pristine() == dense.is_pristine()
     assert image._alloc_ptr == dense.alloc_ptr
+    assert image.written_os_pages == len(
+        {page // PAGES_PER_OS_PAGE for page in dense.written}
+    )
 
 
 def _good_pages_of(words: array, size: int):
     """The non-zero pages of a dense good image, as the sparse form."""
     pages = {}
     for lo in range(0, size, PAGE_WORDS):
-        page = words[lo:min(lo + PAGE_WORDS, size)]
+        page = array("I", words[lo:min(lo + PAGE_WORDS, size)])
         if any(page):
             pages[lo >> PAGE_SHIFT] = page
     return pages

@@ -8,6 +8,7 @@ the field on stderr.  No campaign runs: artifacts are synthesized.
 import copy
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,16 @@ def test_committed_baseline_accepts_in_band_artifact(path, tmp_path, capsys):
         tmp_path, capsys, in_band_artifact(baseline), baseline
     )
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("path", BASELINES, ids=lambda path: path.stem)
+def test_comment_names_only_existing_scripts(path):
+    comment = json.loads(path.read_text(encoding="utf-8")).get("comment", "")
+    for name in re.findall(r"[\w/]+\.py\b", comment):
+        assert any(
+            (ROOT / folder / name).is_file()
+            for folder in (".", "benchmarks", "scripts")
+        ), f"{path.name} names missing {name}"
 
 
 def _row(service, key, value):
