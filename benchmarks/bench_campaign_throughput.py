@@ -49,14 +49,12 @@ def pooled_vs_fresh(spec, seeds, repeat: int = 3) -> tuple:
     Each sweep executes every seed serially in-process through the
     campaign-core protocol (``spec.warm``, then ``spec.execute`` per
     seed) and keeps the best of ``repeat`` wall times.  A mode's sweeps
-    run back to back, as a campaign in that mode runs its runs: timed
-    right after the other mode's sweep, a fresh-build sweep reads ~10%
-    faster than inside a fresh-build campaign.  Every sweep starts from
-    a collected heap.  IDL compile and the pooled boot + seal stay
-    outside the timed region, as in a campaign worker's initializer.
-    Rows must be equal across repeats and across both sweeps: the
-    speedup is only meaningful if the pooled path is bit-exact.
-    Returns ``(results, rows)``.
+    run back to back, as a campaign in that mode runs its runs, and
+    every sweep starts from a collected heap.  IDL compile and the
+    pooled boot + seal stay outside the timed region, as in a campaign
+    worker's initializer.  Rows must be equal across repeats and across
+    both sweeps: the speedup is only meaningful if the pooled path is
+    bit-exact.  Returns ``(results, rows)``.
     """
     compile_all_interfaces()
     saved = os.environ.get("REPRO_SYSTEM_POOL")
@@ -92,7 +90,7 @@ def pooled_vs_fresh(spec, seeds, repeat: int = 3) -> tuple:
     }, rows
 
 
-def measure_campaign(n_faults: int, repeat: int = 10) -> dict:
+def measure_campaign(n_faults: int, repeat: int = 3) -> dict:
     """Runs/sec of the lock smoke campaign: fresh-build vs pooled."""
     runner = CampaignRunner("lock", n_faults=n_faults, seed=1)
     return pooled_vs_fresh(runner.spec(), runner.run_seeds(), repeat)[0]
@@ -138,17 +136,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--faults", type=int, default=50,
                         help="injection runs per sweep (lock service)")
-    parser.add_argument("--repeat", type=int, default=10,
+    parser.add_argument("--repeat", type=int, default=3,
                         help="timed sweeps per mode (best-of)")
     parser.add_argument("--quick", action="store_true",
-                        help="fewer timed sweeps for CI smoke runs")
+                        help="CI smoke settings: best of 5 sweeps per mode")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write results as JSON")
     args = parser.parse_args(argv)
     if args.quick:
         # The baseline's ratio floor was recorded on the 50-fault sweep;
         # a smaller one is a different run mix with its own ratio, so
-        # --quick only takes fewer sweeps.
+        # --quick keeps it and takes the best of more sweeps instead.
         args.repeat = 5
 
     results = run_benchmark(args.faults, args.repeat)

@@ -130,7 +130,7 @@ def test_fig7_shape(benchmark):
 # Standalone campaign-throughput benchmark (pooled vs fresh per seed)
 # ---------------------------------------------------------------------------
 
-def measure_web_campaign(n_seeds: int, repeat: int = 6) -> dict:
+def measure_web_campaign(n_seeds: int, repeat: int = 3) -> dict:
     """Web-campaign runs/sec, pooled vs fresh-build-per-seed.
 
     Short probe runs (40 requests, 2 faults) keep per-run fixed costs —
@@ -233,10 +233,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=30,
                         help="faulted web-server runs per sweep")
-    parser.add_argument("--repeat", type=int, default=6,
+    parser.add_argument("--repeat", type=int, default=3,
                         help="timed sweeps per mode (best-of)")
     parser.add_argument("--quick", action="store_true",
-                        help="fewer timed sweeps for CI smoke runs")
+                        help="CI smoke settings: best of 4 sweeps per mode")
     parser.add_argument("--openloop", action="store_true",
                         help="run the deterministic open-loop offered-load "
                              "sweep instead of the wall-clock campaign "
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
     else:
         if args.quick:
             # Same 30 seeds the baseline's ratio floor was recorded on
-            # (the first 15 alone pool less well); only fewer sweeps.
+            # (the first 15 alone pool less well), best of more sweeps.
             args.repeat = 4
         results = measure_web_campaign(args.seeds, repeat=args.repeat)
         print(f"campaign runs/sweep    : {results['campaign_runs']}")

@@ -271,7 +271,9 @@ class MemoryImage:
         zero), so only those are rescanned.  Each one is kept as a copy
         (an ``array``: a slice of ``words`` is a view that later writes
         would show through) when non-zero and dropped when it reads as
-        the zero page.
+        the zero page.  The copy goes through the page's bytes, one
+        memcpy; ``array("I", view)`` would box every word through the
+        view's iterator.
         """
         good = self._good_pages
         if good is None:
@@ -279,7 +281,10 @@ class MemoryImage:
         for page in self.dirty_page_indices():
             self._written[page] = 1
             lo = page << PAGE_SHIFT
-            copy = array("I", self.words[lo:min(lo + PAGE_WORDS, self.size)])
+            copy = array("I")
+            copy.frombytes(
+                self.words[lo:min(lo + PAGE_WORDS, self.size)].cast("B")
+            )
             if copy == _ZERO_PAGE[:len(copy)]:
                 good.pop(page, None)
             else:

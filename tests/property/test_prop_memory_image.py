@@ -11,7 +11,6 @@ that differ from the good image, pristineness, allocation addresses,
 restore page counts and the OS pages written since creation.
 """
 
-import mmap
 from array import array
 
 import pytest
@@ -22,6 +21,7 @@ from repro.composite.memory import (
     PAGE_SHIFT,
     PAGE_WORDS,
     STACK_WORDS,
+    _PAGES_PER_OS_PAGE,
     MemoryImage,
 )
 from repro.composite.machine import WORD_MASK
@@ -29,10 +29,6 @@ from repro.errors import ReproError
 from repro.system import build_system
 
 BASE = 0x0300_0000
-
-#: Dirty-tracking pages per OS page.
-PAGES_PER_OS_PAGE = max(mmap.PAGESIZE // (4 * PAGE_WORDS), 1)
-
 
 class DenseImage:
     """Reference model: full-copy good image, per-word taint bytes."""
@@ -196,7 +192,7 @@ def _check(image: MemoryImage, dense: DenseImage) -> None:
     assert image.is_pristine() == dense.is_pristine()
     assert image._alloc_ptr == dense.alloc_ptr
     assert image.written_os_pages == len(
-        {page // PAGES_PER_OS_PAGE for page in dense.written}
+        {page // _PAGES_PER_OS_PAGE for page in dense.written}
     )
 
 
