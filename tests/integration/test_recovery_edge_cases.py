@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.composite.thread import Invoke
 from repro.errors import RecoveryError
 from repro.system import build_system
 
@@ -140,3 +141,53 @@ class TestWalkFailureModes:
             )
         entry = stub.table.lookup(lid)
         assert entry.recovered_epoch == 3
+
+
+class TestBlockAfterRecovery:
+    @pytest.mark.parametrize("ft_mode", ["superglue", "c3"])
+    def test_wake_runs_completion_tracking_after_id_change(self, ft_mode):
+        """A wait that blocks right after its descriptor was recovered
+        with a new id (the alias went to storage through a nested
+        invocation) still gets the stub's completion tracking on wake."""
+        system = build_system(ft_mode=ft_mode)
+        kernel = system.kernel
+
+        def idle(system, thread):
+            return
+            yield
+
+        setup = kernel.create_thread("setup", prio=1, home="app0",
+                                     body_factory=idle)
+        stub = system.stub("app0", "event")
+        evtid = stub.invoke(kernel, setup, "evt_split", ("app0", 0, 9))
+        kernel.component("event").micro_reboot()
+        # Another client takes the rebooted server's first id, so the
+        # replayed evt_split comes back with a different one.
+        system.stub("app1", "event").invoke(
+            kernel, setup, "evt_split", ("app1", 0, 9)
+        )
+        completed = []
+        post_unblock = stub.post_unblock
+
+        def spy(kernel, thread, fn, args, value):
+            completed.append((thread.name, fn))
+            return post_unblock(kernel, thread, fn, args, value)
+
+        stub.post_unblock = spy
+        woke = []
+
+        def waiter(system, thread):
+            woke.append((yield Invoke("event", "evt_wait", "app0", evtid)))
+
+        def trigger(system, thread):
+            yield Invoke("event", "evt_trigger", "app0", evtid)
+
+        kernel.create_thread("waiter", prio=1, home="app0", body_factory=waiter)
+        kernel.create_thread("trigger", prio=2, home="app0",
+                             body_factory=trigger)
+        kernel.run()
+        sid = (stub.table.lookup(evtid).sid if ft_mode == "superglue"
+               else stub.descs[evtid]["sid"])
+        assert sid != evtid
+        assert woke == [0]
+        assert completed == [("waiter", "evt_wait")]
