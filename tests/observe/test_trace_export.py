@@ -16,6 +16,7 @@ from repro.swifi.campaign import (
     execute_run,
     execute_run_traced,
 )
+from repro.swifi.classify import Outcome
 from repro.swifi.parallel import run_campaign
 
 
@@ -99,6 +100,45 @@ class TestExportFormat:
             elif line["type"] == "event":
                 seen[line["run_seed"]] = seen.get(line["run_seed"], 0) + 1
         assert counts == seen
+
+
+class TestInvocationSpans:
+    def test_every_invoke_closes_with_its_status_and_cost(self):
+        """Event runs that block in evt_wait and crash on a fault: spans
+        nest, each ``invoke`` has its ``invoke_end``, and the span's
+        cycles are the virtual-clock distance between the two."""
+        runner = CampaignRunner("event", n_faults=50, seed=1)
+        spec = runner.spec()
+        statuses = set()
+        # Runs 17-18 of the schedule recover; 19-20 end in a crash.
+        for run_seed in runner.run_seeds()[17:21]:
+            outcome, record = execute_run_traced(spec, run_seed)
+            assert record["dropped_events"] == 0
+            open_spans, ends = [], []
+            for event in record["events"]:
+                data = event["data"]
+                if event["event"] == "invoke":
+                    open_spans.append(event)
+                elif event["event"] == "invoke_end":
+                    start = open_spans.pop()
+                    assert (data["tid"], data["server"], data["fn"]) == (
+                        start["data"]["tid"],
+                        start["data"]["server"],
+                        start["data"]["fn"],
+                    )
+                    assert data["cycles"] == event["t"] - start["t"]
+                    ends.append((data["fn"], data["status"]))
+            assert open_spans == []
+            statuses.update(status for __, status in ends)
+            assert {fn for fn, status in ends if status == "blocked"} == {
+                "evt_wait"
+            }
+            crashed = [end for end in ends if end[1] == "crash"]
+            if outcome is Outcome.NOT_RECOVERED_SEGFAULT:
+                assert crashed == [ends[-1]]
+            else:
+                assert crashed == []
+        assert statuses == {"ok", "blocked", "crash"}
 
 
 class TestRecoveryArc:
