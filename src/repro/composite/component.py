@@ -26,6 +26,7 @@ from repro.composite.machine import (
     execute_trace,
 )
 from repro.composite.memory import DEFAULT_IMAGE_WORDS, MemoryImage
+from repro.composite.thread import Invoke
 from repro.errors import (
     AssertionFault,
     CapabilityError,
@@ -139,10 +140,11 @@ class Component:
         return frozenset(self._exports)
 
     def dispatch(self, fn: str, thread, args) -> object:
-        if fn not in self._exports:
+        method = self._exports.get(fn)
+        if method is None:
             raise CapabilityError(f"{self.name} does not export {fn!r}")
         self._ran = True
-        return self._exports[fn](thread, *args)
+        return method(thread, *args)
 
     # -- trace execution --------------------------------------------------------
     def execute(self, thread, trace: Trace) -> TraceResult:
@@ -275,8 +277,6 @@ class Component:
         calling the storage component).  The call goes through the kernel's
         normal invocation path, so capabilities and stubs apply.
         """
-        from repro.composite.thread import Invoke
-
         return self.kernel.invoke(thread, Invoke(server, fn, *args))
 
     def require_image(self) -> MemoryImage:

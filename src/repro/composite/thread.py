@@ -107,8 +107,10 @@ class SimThread:
         self.regs = RegisterFile()
         self.state = ThreadState.READY
         self.body: Optional[Iterator] = None
-        # Value delivered to the body on next resume: ("value", v) or
-        # ("throw", exc).  None means "first resume".
+        # What the next step does: resume the body with ("value", v),
+        # run the stub's wakeup tracking first ("unblock", stub, invoke,
+        # v), or re-issue a fault-woken invocation ("redo", invoke).
+        # None means "first resume".
         self.pending = None
         # While blocked: the component name we are blocked in, the wait
         # token, and the original Invoke (for fault-redo), plus the client

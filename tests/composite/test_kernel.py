@@ -1,5 +1,7 @@
 """Unit tests for the kernel: invocation, blocking, faults, run loop."""
 
+import sys
+
 import pytest
 
 from repro.composite.app import AppComponent
@@ -14,6 +16,7 @@ from repro.errors import (
     ConfigurationError,
     SystemHang,
 )
+from repro.system import build_system
 
 
 class EchoService(Component):
@@ -148,6 +151,35 @@ class TestInvocation:
         kernel.create_thread("b", prio=1, home="app0", body_factory=body_b)
         kernel.run()
         assert sorted(order) == ["a1", "a2", "b1", "b2"]
+
+
+class TestInvocationDepth:
+    @pytest.mark.parametrize("ft_mode, depth", [("superglue", 6), ("c3", 5)])
+    def test_frames_from_run_loop_to_server_export(self, ft_mode, depth):
+        """The one invocation path: Kernel.invoke -> client stub invoke ->
+        per-function stub method -> raw_invoke [-> server stub dispatch]
+        -> Component.dispatch -> the export."""
+        system = build_system(ft_mode=ft_mode)
+        lock = system.kernel.component("lock")
+        take = lock._exports["lock_take"]
+        depths = []
+
+        def counting_take(thread, *args):
+            frame, frames = sys._getframe(1), 0
+            while frame.f_code.co_name != "_step":
+                frame, frames = frame.f_back, frames + 1
+            depths.append(frames)
+            return take(thread, *args)
+
+        lock._exports["lock_take"] = counting_take
+
+        def body(system, thread):
+            lid = yield Invoke("lock", "lock_alloc", "app0")
+            yield Invoke("lock", "lock_take", "app0", lid)
+
+        system.kernel.create_thread("t", prio=1, home="app0", body_factory=body)
+        system.kernel.run()
+        assert depths == [depth]
 
 
 class TestBlocking:
