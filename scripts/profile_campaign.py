@@ -105,7 +105,6 @@ def phase_breakdown(service: str, n_faults: int, seed: int) -> None:
     )
     from repro.swifi.campaign import (
         MAX_STEPS,
-        _arm_for_class,
         _campaign_system,
         classify_run,
         injection_point,
@@ -155,7 +154,10 @@ def phase_breakdown(service: str, n_faults: int, seed: int) -> None:
         workload = workload_for(spec.service)
         handle = workload.install(system, iterations=spec.iterations)
         t = tick("workload install", t)
-        _arm_for_class(swifi, spec, injection_point(run_seed, spec.horizon))
+        swifi.arm_fault(
+            spec.fault_class, spec.service,
+            injection_point(run_seed, spec.horizon),
+        )
         t = tick("arm", t)
         crash, steps = None, 0
         try:

@@ -240,20 +240,6 @@ def _campaign_system(
     return system
 
 
-def _arm_for_class(swifi: SwifiController, spec: RunSpec, point: int) -> None:
-    """Arm the spec's fault class at the derived injection point."""
-    if spec.fault_class == "reg":
-        swifi.arm(spec.service, after_executions=point)
-    elif spec.fault_class == "mem":
-        swifi.arm_mem(spec.service, after_executions=point)
-    elif spec.fault_class == "idl":
-        swifi.arm_idl(spec.service, after_invocations=point)
-    elif spec.fault_class == "burst":
-        swifi.arm_burst(spec.service, after_executions=point)
-    else:  # pragma: no cover - RunSpec validates the class
-        raise ValueError(f"unknown fault class {spec.fault_class!r}")
-
-
 def _drive_run(spec: RunSpec, run_seed: int, instance=None):
     """Boot (or pool-restore) a system, inject per the spec, run it.
 
@@ -267,7 +253,10 @@ def _drive_run(spec: RunSpec, run_seed: int, instance=None):
     swifi = SwifiController(kernel, seed=run_seed)
     workload = workload_for(spec.service)
     handle = workload.install(system, iterations=spec.iterations)
-    _arm_for_class(swifi, spec, injection_point(run_seed, spec.horizon))
+    swifi.arm_fault(
+        spec.fault_class, spec.service,
+        injection_point(run_seed, spec.horizon),
+    )
     crash: Optional[BaseException] = None
     steps = 0
     try:
@@ -425,11 +414,6 @@ class CampaignRunner:
     def run_seeds(self) -> List[int]:
         """The deterministic per-run seed schedule for this campaign."""
         return campaign_seeds(self.seed, self.n_faults)
-
-    # ------------------------------------------------------------------
-    def run_one(self, run_seed: int) -> Outcome:
-        """One injection run; returns its classified outcome."""
-        return execute_run(self.spec(), run_seed)
 
     # ------------------------------------------------------------------
     def run(

@@ -223,6 +223,23 @@ class SwifiController:
                 fault_class="idl",
             )
 
+    def arm_fault(self, fault_class: str, target: str, after: int = 0) -> None:
+        """Arm one fault of ``fault_class`` against ``target``, firing
+        after ``after`` trace executions (client-stub invocations for
+        ``idl``).  Each class keeps its own RNG draw pattern (``reg`` and
+        ``burst`` draw register + bit here, at arm time), so seeded
+        campaigns reproduce exactly."""
+        if fault_class == "reg":
+            self.arm(target, after_executions=after)
+        elif fault_class == "mem":
+            self.arm_mem(target, after_executions=after)
+        elif fault_class == "idl":
+            self.arm_idl(target, after_invocations=after)
+        elif fault_class == "burst":
+            self.arm_burst(target, after_executions=after)
+        else:
+            raise ValueError(f"unknown fault class {fault_class!r}")
+
     def _emit_arm(self, plan: PlannedInjection) -> None:
         recorder = self.kernel.recorder
         if not recorder.enabled:

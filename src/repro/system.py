@@ -360,11 +360,6 @@ class SystemSnapshot:
         return diffs
 
 
-def system_snapshot(system: System, prepare=None) -> SystemSnapshot:
-    """Seal ``system``'s current (post-boot) state for later restores."""
-    return SystemSnapshot(system, prepare=prepare)
-
-
 class SystemPool:
     """Per-process pool of sealed systems, keyed by build parameters.
 

@@ -244,24 +244,6 @@ class OpenLoopGenerator:
         )
 
 
-def _arm_fault(swifi: SwifiController, fault_class: str, target: str) -> None:
-    """Arm one fault of ``fault_class`` against ``target``.
-
-    The reg path keeps its historical RNG draw pattern (reg + bit drawn
-    at arm time), so pre-existing seeded campaigns reproduce exactly.
-    """
-    if fault_class == "reg":
-        swifi.arm(target, after_executions=0)
-    elif fault_class == "mem":
-        swifi.arm_mem(target, after_executions=0)
-    elif fault_class == "idl":
-        swifi.arm_idl(target, after_invocations=0)
-    elif fault_class == "burst":
-        swifi.arm_burst(target, after_executions=0)
-    else:
-        raise ValueError(f"unknown fault class {fault_class!r}")
-
-
 def run_webserver(
     ft_mode: str = "superglue",
     n_requests: int = 2_000,
@@ -326,7 +308,7 @@ def run_webserver(
                 last_armed["served"] = served
                 target = next(targets, None)
                 if target is not None:
-                    _arm_fault(swifi, fault_class, target)
+                    swifi.arm_fault(fault_class, target)
                     armed["count"] += 1
 
         server.on_served = arm_on_progress

@@ -1,5 +1,7 @@
 """Additional unit tests for the SWIFI helpers and analysis formatting."""
 
+import pytest
+
 from repro.swifi.campaign import CampaignResult, format_table2
 from repro.swifi.classify import MAX_DETAILS, Outcome, OutcomeCounter
 from repro.swifi.injector import FULL_MASK, PlannedInjection, SwifiController
@@ -35,6 +37,19 @@ class TestControllerBookkeeping:
         a = SwifiController(system1.kernel, seed=9).arm("lock")
         b = SwifiController(system2.kernel, seed=9).arm("lock")
         assert (a.reg, a.bit) == (b.reg, b.bit)
+
+
+    def test_arm_fault_dispatches_each_class(self):
+        system = build_system(ft_mode="superglue")
+        swifi = SwifiController(system.kernel, seed=9)
+        for fault_class in ("reg", "mem", "burst"):
+            swifi.arm_fault(fault_class, "lock", after=4)
+            assert swifi.pending.fault_class == fault_class
+            assert swifi.pending.after_executions == 4
+        swifi.arm_fault("idl", "lock", after=4)
+        assert swifi._idl_pending == ["lock", 4, 0]
+        with pytest.raises(ValueError):
+            swifi.arm_fault("cosmic", "lock")
 
 
 class TestResultRow:
